@@ -48,7 +48,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzSpecValidate -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) run ./cmd/ilanfuzz -runs 500
 
-# Reproduce every figure and table at paper scale (~1h on one core).
+# Reproduce every figure and table at paper scale (3 min 45 s wall, 7.3 CPU
+# minutes, on a 2-vCPU Xeon @ 2.1 GHz with the default -jobs).
 figures:
 	$(GO) run ./cmd/ilanexp -exp all -reps 30
 

@@ -17,10 +17,10 @@ import (
 	"os"
 	"sort"
 
+	"github.com/ilan-sched/ilan/internal/harness"
 	ilansched "github.com/ilan-sched/ilan/internal/ilan"
 	"github.com/ilan-sched/ilan/internal/looplang"
 	"github.com/ilan-sched/ilan/internal/machine"
-	"github.com/ilan-sched/ilan/internal/sched"
 	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/topology"
 )
@@ -49,7 +49,7 @@ const exampleDoc = `{
 
 func main() {
 	file := flag.String("f", "", "workload description (JSON)")
-	schedName := flag.String("sched", "", "run only one scheduler: baseline|worksharing|affinity|ilan|ilan-nomold")
+	schedName := flag.String("sched", "", "run only one scheduler kind: baseline|ilan|ilan-nomold|worksharing|affinity|ilan-counters|shepherd")
 	seed := flag.Uint64("seed", 1, "machine seed")
 	noise := flag.Bool("noise", false, "enable the machine noise model")
 	verbose := flag.Bool("v", false, "print per-loop PTT outcomes for ILAN runs")
@@ -76,35 +76,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	schedulers := []struct {
-		name string
-		mk   func() taskrt.Scheduler
-	}{
-		{"baseline", func() taskrt.Scheduler { return &sched.Baseline{} }},
-		{"worksharing", func() taskrt.Scheduler { return &sched.WorkSharing{} }},
-		{"affinity", func() taskrt.Scheduler { return &sched.Affinity{} }},
-		{"ilan", func() taskrt.Scheduler { return ilansched.MustNew(ilansched.DefaultOptions()) }},
-		{"ilan-nomold", func() taskrt.Scheduler {
-			o := ilansched.DefaultOptions()
-			o.Moldability = false
-			return ilansched.MustNew(o)
-		}},
-	}
+	kinds := []harness.Kind{harness.KindBaseline, harness.KindWorkSharing,
+		harness.KindAffinity, harness.KindILAN, harness.KindILANNoMold}
 	if *schedName != "" {
-		var filtered []struct {
-			name string
-			mk   func() taskrt.Scheduler
-		}
-		for _, s := range schedulers {
-			if s.name == *schedName {
-				filtered = append(filtered, s)
-			}
-		}
-		if len(filtered) == 0 {
+		k, ok := harness.KindFromString(*schedName)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "loopconv: unknown scheduler %q\n", *schedName)
 			os.Exit(2)
 		}
-		schedulers = filtered
+		kinds = []harness.Kind{k}
 	}
 
 	noiseCfg := machine.NoiseConfig{}
@@ -114,7 +94,7 @@ func main() {
 
 	fmt.Printf("%-14s %12s %10s %12s %12s\n", "scheduler", "time(s)", "speedup", "avg threads", "overhead(ms)")
 	var base float64
-	for i, s := range schedulers {
+	for i, k := range kinds {
 		m := machine.New(machine.Config{
 			Topo:  topology.MustNew(topology.Zen4Vera()),
 			Seed:  *seed,
@@ -126,7 +106,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "loopconv:", err)
 			os.Exit(1)
 		}
-		inst := s.mk()
+		inst := harness.NewScheduler(k)
 		rt := taskrt.New(m, inst, taskrt.DefaultCosts())
 		res, err := rt.RunProgram(prog)
 		if err != nil {
@@ -138,7 +118,7 @@ func main() {
 			base = el
 		}
 		fmt.Printf("%-14s %12.4f %9.3fx %12.1f %12.3f\n",
-			s.name, el, base/el, res.WeightedAvgThreads, 1e3*res.OverheadSec)
+			k, el, base/el, res.WeightedAvgThreads, 1e3*res.OverheadSec)
 
 		if il, ok := inst.(*ilansched.Scheduler); ok && *verbose {
 			for _, l := range prog.Loops {

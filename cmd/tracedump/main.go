@@ -17,9 +17,8 @@ import (
 	"os"
 
 	"github.com/ilan-sched/ilan/internal/fsatomic"
-	ilansched "github.com/ilan-sched/ilan/internal/ilan"
+	"github.com/ilan-sched/ilan/internal/harness"
 	"github.com/ilan-sched/ilan/internal/machine"
-	"github.com/ilan-sched/ilan/internal/sched"
 	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/timeline"
 	"github.com/ilan-sched/ilan/internal/topology"
@@ -28,7 +27,7 @@ import (
 
 func main() {
 	bench := flag.String("bench", "CG", "benchmark to trace")
-	schedName := flag.String("sched", "ilan", "scheduler: baseline|worksharing|affinity|ilan|ilan-nomold")
+	schedName := flag.String("sched", "ilan", "scheduler kind: baseline|ilan|ilan-nomold|worksharing|affinity|ilan-counters|shepherd")
 	class := flag.String("class", "test", "benchmark scale: paper|test")
 	out := flag.String("o", "", "output file (omit for summary only)")
 	format := flag.String("format", "jsonl", "output format: jsonl|json")
@@ -42,24 +41,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracedump: unknown benchmark %q\n", *bench)
 		os.Exit(2)
 	}
-	var s taskrt.Scheduler
-	switch *schedName {
-	case "baseline":
-		s = &sched.Baseline{}
-	case "worksharing":
-		s = &sched.WorkSharing{}
-	case "affinity":
-		s = &sched.Affinity{}
-	case "ilan":
-		s = ilansched.MustNew(ilansched.DefaultOptions())
-	case "ilan-nomold":
-		o := ilansched.DefaultOptions()
-		o.Moldability = false
-		s = ilansched.MustNew(o)
-	default:
+	kind, ok := harness.KindFromString(*schedName)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "tracedump: unknown scheduler %q\n", *schedName)
 		os.Exit(2)
 	}
+	s := harness.NewScheduler(kind)
 	cls := workloads.ClassTest
 	if *class == "paper" {
 		cls = workloads.ClassPaper

@@ -8,7 +8,6 @@ import (
 	"github.com/ilan-sched/ilan/internal/cellcache"
 	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/topology"
-	"github.com/ilan-sched/ilan/internal/workloads"
 )
 
 // The campaign cache key contract (DESIGN.md §13).
@@ -30,7 +29,7 @@ import (
 //   - observability settings that change the stored payload (Metrics,
 //     TraceDecisions, DecisionCap, TraceTasks for rep 0, and Attr — the
 //     attribution report rides inside the cached RunSample),
-//   - for multiprogrammed units (cacheKeyForMulti), the co-run descriptor
+//   - for multiprogrammed units (an empty bench), the co-run descriptor
 //     (benchmark list + arrival spread): it determines the whole workload.
 //     Solo units normalize Multi out — a solo simulation never reads it —
 //     so RunMulti's solo reference cells share entries with plain solo
@@ -49,7 +48,7 @@ import (
 // Bump it whenever a change alters any campaign output byte (timings,
 // metrics, traces): old cache entries then miss instead of serving stale
 // results. Tests override it to prove fingerprint skew invalidates keys.
-var simFingerprint = "ilan-sim-v9-zen4-fluid-attr"
+var simFingerprint = "ilan-sim-v10-zen4-fluid-attr"
 
 // cacheKeyInputs is the canonical, JSON-marshaled form of a unit's
 // identity. Field order is fixed by the struct, map-free, so the encoding
@@ -80,12 +79,17 @@ type cacheKeyInputs struct {
 	Multi *CoRun `json:"multi,omitempty"`
 }
 
-// cacheKeyFor computes the unit's content address. The zero-value
-// topology normalizes to the default the run would actually use, so
-// cfg.Topo == Spec{} and cfg.Topo == Zen4Vera() share entries (they run
-// the same machine). TraceTasks only affects repetition 0 (harness only
-// records rep 0's trace), so it is normalized to false for other reps.
-func cacheKeyFor(b workloads.Benchmark, k Kind, cfg Config, rep int) string {
+// cacheKey computes a unit's content address. bench names a solo unit's
+// benchmark; a co-run unit passes "" and is named by cfg.Multi instead.
+// Each kind of unit drops the field it never reads: a solo simulation
+// ignores the co-run descriptor, so RunMulti's solo reference cells share
+// entries with plain solo campaigns, and a co-run unit collects no
+// attribution (see multiUnitConfig). The zero-value topology normalizes to
+// the default the run would actually use, so cfg.Topo == Spec{} and
+// cfg.Topo == Zen4Vera() share entries (they run the same machine).
+// TraceTasks only affects repetition 0 (harness only records rep 0's
+// trace), so it is normalized to false for other reps.
+func cacheKey(bench string, k Kind, cfg Config, rep int) string {
 	topoSpec := cfg.Topo
 	if topoSpec.Sockets == 0 {
 		topoSpec = topology.Zen4Vera()
@@ -93,7 +97,7 @@ func cacheKeyFor(b workloads.Benchmark, k Kind, cfg Config, rep int) string {
 	in := cacheKeyInputs{
 		Fingerprint:  simFingerprint,
 		EntryVersion: cellcache.Version,
-		Bench:        b.Name,
+		Bench:        bench,
 		Class:        cfg.Class.String(),
 		Kind:         k.String(),
 		Rep:          rep,
@@ -112,119 +116,63 @@ func cacheKeyFor(b workloads.Benchmark, k Kind, cfg Config, rep int) string {
 		TraceTasks:   cfg.TraceTasks && rep == 0,
 		Attr:         cfg.Attr,
 	}
+	if bench == "" {
+		if cfg.Multi == nil {
+			return "" // neither a benchmark nor a co-run: nothing to address
+		}
+		in.Multi = cfg.Multi
+		in.Attr = false
+	}
 	data, err := json.Marshal(in)
 	if err != nil {
 		// Every field is a plain value; Marshal cannot fail unless a
-		// float override is NaN/Inf — then no stable key exists, so
-		// return an invalid one (the cache rejects it; the unit runs
-		// uncached).
+		// float override or the arrival spread is NaN/Inf — then no
+		// stable key exists, so return an invalid one (the cache rejects
+		// it; the unit runs uncached).
 		return ""
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
 
-// cacheKeyForMulti computes a co-run unit's content address: the same
-// inputs as a solo unit minus the benchmark name (the co-run descriptor
-// carries the benchmark list) and with Attr normalized out (co-run units
-// never collect attribution — see multiUnitConfig).
-func cacheKeyForMulti(k Kind, cfg Config, rep int) string {
-	if cfg.Multi == nil {
-		return ""
-	}
-	topoSpec := cfg.Topo
-	if topoSpec.Sockets == 0 {
-		topoSpec = topology.Zen4Vera()
-	}
-	in := cacheKeyInputs{
-		Fingerprint:  simFingerprint,
-		EntryVersion: cellcache.Version,
-		Class:        cfg.Class.String(),
-		Kind:         k.String(),
-		Rep:          rep,
-		Seed:         cfg.Seed,
-		Noise:        cfg.Noise,
-		Topo:         topoSpec,
-		Disturb:      cfg.Disturb,
-		ControllerBW: cfg.ControllerBW,
-		LinkBW:       cfg.LinkBW,
-		CoreStreamBW: cfg.CoreStreamBW,
-		Alpha:        cfg.Alpha,
-		Beta:         cfg.Beta,
-		Metrics:      cfg.Metrics,
-		TraceDecs:    cfg.TraceDecisions,
-		DecisionCap:  cfg.DecisionCap,
-		TraceTasks:   cfg.TraceTasks && rep == 0,
-		Multi:        cfg.Multi,
-	}
-	data, err := json.Marshal(in)
-	if err != nil {
-		return "" // NaN/Inf spread: no stable key; the unit runs uncached
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// cacheGetMulti returns the cached co-run sample for a unit, if sound.
-func cacheGetMulti(c *cellcache.Cache, key string) (MultiSample, bool) {
-	if c == nil || key == "" {
-		return MultiSample{}, false
-	}
-	data, ok := c.Get(key)
-	if !ok {
-		return MultiSample{}, false
-	}
-	var s MultiSample
-	if err := json.Unmarshal(data, &s); err != nil {
-		c.Discard(key)
-		return MultiSample{}, false
-	}
-	return s, true
-}
-
-// cachePutMulti commits a freshly computed co-run unit result.
-func cachePutMulti(c *cellcache.Cache, key string, s MultiSample) {
-	if c == nil || key == "" {
-		return
-	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		return
-	}
-	_ = c.Put(key, data)
-}
-
-// encodeSample serializes a unit result for the cache. RunSample (with its
-// obs snapshot and rep-0 task trace) round-trips losslessly through JSON:
-// Go prints floats in the shortest form that parses back exactly, and the
+// cachedUnit runs one unit through cfg.Cache: a sound entry under the
+// unit's key is replayed, and a miss runs the simulation and commits its
+// result before returning. Samples (RunSample, MultiSample, with their obs
+// snapshots and rep-0 task traces) round-trip losslessly through JSON: Go
+// prints floats in the shortest form that parses back exactly, and the
 // results writer re-encodes through the same marshaler, so a campaign
 // assembled from cached units is byte-identical to a cold run.
-func encodeSample(s RunSample) ([]byte, error) {
-	return json.Marshal(s)
-}
-
-// decodeSample parses a cached unit result.
-func decodeSample(data []byte) (RunSample, error) {
-	var s RunSample
-	err := json.Unmarshal(data, &s)
+func cachedUnit[S any](cfg Config, bench string, k Kind, rep int, run func() (S, error)) (S, error) {
+	if cfg.Cache == nil {
+		return run()
+	}
+	key := cacheKey(bench, k, cfg, rep)
+	if s, ok := cacheGet[S](cfg.Cache, key); ok {
+		return s, nil
+	}
+	s, err := run()
+	if err == nil {
+		cachePut(cfg.Cache, key, s)
+	}
 	return s, err
 }
 
 // cacheGet returns the cached sample for a unit, if a sound one exists.
-func cacheGet(c *cellcache.Cache, key string) (RunSample, bool) {
-	if c == nil || key == "" {
-		return RunSample{}, false
+func cacheGet[S any](c *cellcache.Cache, key string) (S, bool) {
+	var s S
+	if key == "" {
+		return s, false
 	}
 	data, ok := c.Get(key)
 	if !ok {
-		return RunSample{}, false
+		return s, false
 	}
-	s, err := decodeSample(data)
-	if err != nil {
+	if err := json.Unmarshal(data, &s); err != nil {
 		// The envelope was sound but the payload does not decode into
-		// this build's RunSample — treat as corrupt: drop and recompute.
+		// this build's sample type — treat as corrupt: drop and recompute.
 		c.Discard(key)
-		return RunSample{}, false
+		var zero S
+		return zero, false
 	}
 	return s, true
 }
@@ -232,11 +180,11 @@ func cacheGet(c *cellcache.Cache, key string) (RunSample, bool) {
 // cachePut commits a freshly computed unit result. Failures are swallowed
 // (the cache is an accelerator, never a correctness dependency); they are
 // visible in the cache's error counter.
-func cachePut(c *cellcache.Cache, key string, s RunSample) {
-	if c == nil || key == "" {
+func cachePut[S any](c *cellcache.Cache, key string, s S) {
+	if key == "" {
 		return
 	}
-	data, err := encodeSample(s)
+	data, err := json.Marshal(s)
 	if err != nil {
 		return
 	}

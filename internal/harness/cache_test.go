@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,7 +26,7 @@ func baseUnit(t *testing.T) keyUnit {
 	return keyUnit{bench: mustBench(t, "CG"), kind: KindBaseline, cfg: testConfig(), rep: 0}
 }
 
-func (u keyUnit) key() string { return cacheKeyFor(u.bench, u.kind, u.cfg, u.rep) }
+func (u keyUnit) key() string { return cacheKey(u.bench.Name, u.kind, u.cfg, u.rep) }
 
 func TestCacheKeyIsStableHex(t *testing.T) {
 	u := baseUnit(t)
@@ -115,11 +116,11 @@ func TestCacheKeyPerturbation(t *testing.T) {
 func TestCacheKeyMultiPerturbation(t *testing.T) {
 	base := testConfig()
 	base.Multi = &CoRun{Benches: []string{"CG", "FT"}}
-	baseKey := cacheKeyForMulti(KindBaseline, base, 0)
+	baseKey := cacheKey("", KindBaseline, base, 0)
 	if baseKey == "" {
 		t.Fatal("multi key empty for a valid co-run config")
 	}
-	if baseKey == cacheKeyFor(mustBench(t, "CG"), KindBaseline, base, 0) {
+	if baseKey == cacheKey("CG", KindBaseline, base, 0) {
 		t.Fatal("multi key collides with a solo key")
 	}
 	perturb := map[string]func(*Config) (Kind, int){
@@ -143,15 +144,42 @@ func TestCacheKeyMultiPerturbation(t *testing.T) {
 		cfg := testConfig()
 		cfg.Multi = &CoRun{Benches: []string{"CG", "FT"}}
 		k, rep := mut(&cfg)
-		if cacheKeyForMulti(k, cfg, rep) == baseKey {
+		if cacheKey("", k, cfg, rep) == baseKey {
 			t.Errorf("perturbing %s did not change the multi cache key", name)
 		}
 	}
 	// Attr is normalized out of multi keys (co-run units never collect it).
 	attrCfg := base
 	attrCfg.Attr = true
-	if cacheKeyForMulti(KindBaseline, attrCfg, 0) != baseKey {
+	if cacheKey("", KindBaseline, attrCfg, 0) != baseKey {
 		t.Error("attr changed the multi cache key despite being normalized out")
+	}
+}
+
+// TestCacheKeyPinnedHex pins the exact key of one solo and one co-run unit
+// under a fixed fingerprint, so merging or refactoring the key builder can
+// never move an existing entry's address. The expected values were
+// computed with the separate solo and co-run key builders this one
+// replaced. The config sets both Attr and Multi on purpose: the solo key
+// must drop Multi and the co-run key must drop Attr.
+func TestCacheKeyPinnedHex(t *testing.T) {
+	old := simFingerprint
+	defer func() { simFingerprint = old }()
+	simFingerprint = "ilan-sim-v9-zen4-fluid-attr"
+
+	cfg := testConfig()
+	cfg.Metrics = true
+	cfg.Attr = true
+	cfg.Multi = &CoRun{Benches: []string{"CG", "FT"}, ArrivalSpreadSec: 0.05}
+	for _, c := range []struct {
+		unit, bench, want string
+	}{
+		{"solo", "CG", "54f3a52ee5c64866d674bd0a8de7bd5a0aa729b42b9eb52d57b9b670a2bc1784"},
+		{"co-run", "", "7aa09e267d674b4a6c3b4cd907afb850c864f4791ad6f1fe7a924a050d5c28bf"},
+	} {
+		if got := cacheKey(c.bench, KindILAN, cfg, 1); got != c.want {
+			t.Errorf("%s unit key = %s, want %s", c.unit, got, c.want)
+		}
 	}
 }
 
@@ -190,7 +218,7 @@ func TestCacheKeyClassifiesEveryConfigField(t *testing.T) {
 		"CoreStreamBW": true, "Alpha": true, "Beta": true, "Metrics": true,
 		"TraceDecisions": true, "DecisionCap": true, "TraceTasks": true,
 		"Attr": true,
-		// Multi is key-bearing for co-run units (cacheKeyForMulti) and
+		// Multi is key-bearing for co-run units (cacheKey with no bench) and
 		// normalized out of solo keys (a solo simulation never reads it).
 		"Multi": true,
 	}
@@ -260,8 +288,8 @@ func TestRunOneCacheRoundTrip(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("stats = %+v, want 1 miss + 1 hit", st)
 	}
-	ce, _ := encodeSample(cold)
-	we, _ := encodeSample(warm)
+	ce, _ := json.Marshal(cold)
+	we, _ := json.Marshal(warm)
 	if string(ce) != string(we) {
 		t.Fatalf("warm sample not byte-identical:\ncold: %s\nwarm: %s", ce, we)
 	}
@@ -272,7 +300,7 @@ func TestRunOneCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, _ := encodeSample(ref)
+	re, _ := json.Marshal(ref)
 	if string(ce) != string(re) {
 		t.Fatal("cached sample differs from an uncached run")
 	}

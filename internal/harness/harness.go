@@ -281,24 +281,36 @@ func (c *Cell) MeanThreads() float64 {
 // before returning, so an interrupted campaign's completed units survive
 // for the resuming run.
 func RunOne(b workloads.Benchmark, k Kind, cfg Config, rep int) (RunSample, error) {
-	if cfg.Cache == nil {
-		return runOneUncached(b, k, cfg, rep)
-	}
-	key := cacheKeyFor(b, k, cfg, rep)
-	if s, ok := cacheGet(cfg.Cache, key); ok {
-		return s, nil
-	}
-	s, err := runOneUncached(b, k, cfg, rep)
-	if err == nil {
-		cachePut(cfg.Cache, key, s)
-	}
-	return s, err
+	return cachedUnit(cfg, b.Name, k, rep, func() (RunSample, error) {
+		var res *taskrt.RunResult
+		out, err := runUnit(b.Name, k, cfg, rep, func(m *machine.Machine) func(*taskrt.Runtime) error {
+			prog := b.Build(m, cfg.Class)
+			return func(rt *taskrt.Runtime) (err error) {
+				res, err = rt.RunProgram(prog)
+				return err
+			}
+		})
+		if err != nil {
+			return RunSample{}, err
+		}
+		return RunSample{
+			ElapsedSec:      float64(res.Elapsed),
+			OverheadSec:     res.OverheadSec,
+			WeightedThreads: res.WeightedAvgThreads,
+			StealsLocal:     res.StealsLocal,
+			StealsRemote:    res.StealsRemote,
+			Tasks:           res.TasksExecuted,
+			Obs:             out.obs,
+			Trace:           out.trace,
+			Attr:            out.attr,
+		}, nil
+	})
 }
 
 // buildMachine constructs the fresh simulated machine one repetition runs
 // on: topology defaulting, per-rep seed derivation, model overrides, and
-// disturbance injection — shared by the solo (RunOne) and multiprogram
-// (RunMulti) unit paths so a given (cfg, rep) always means the same
+// disturbance injection — shared by every unit path (solo, co-run, and the
+// oracle's fixed points) so a given (cfg, rep) always means the same
 // machine.
 func buildMachine(cfg Config, rep int) *machine.Machine {
 	topoSpec := cfg.Topo
@@ -338,66 +350,69 @@ func buildMachine(cfg Config, rep int) *machine.Machine {
 	return m
 }
 
-// runOneUncached is the raw simulation path behind RunOne.
-func runOneUncached(b workloads.Benchmark, k Kind, cfg Config, rep int) (RunSample, error) {
+// unitOut is what a unit's observability hooks collected.
+type unitOut struct {
+	obs   *obs.Snapshot
+	trace *taskrt.Trace
+	attr  *obs.AttrSnapshot
+}
+
+// runUnit is the one simulation path behind RunOne and RunMultiOne. It
+// builds repetition rep's machine, lets build lay the unit's programs out
+// on it, and runs them — through the function build returns — on a fresh
+// runtime under a new kind-k scheduler, with the metrics, task-trace and
+// attribution hooks cfg asks for. Decisions are tagged with rep; errors
+// are labelled with name.
+func runUnit(name string, k Kind, cfg Config, rep int,
+	build func(*machine.Machine) func(*taskrt.Runtime) error) (unitOut, error) {
 	m := buildMachine(cfg, rep)
-	prog := b.Build(m, cfg.Class)
+	run := build(m)
 	rt := taskrt.New(m, NewScheduler(k), taskrt.DefaultCosts())
-	var run *obs.Run
+	var orun *obs.Run
 	if cfg.obsEnabled() {
-		run = obs.NewRun(obs.Options{TraceDecisions: cfg.TraceDecisions, RingCap: cfg.DecisionCap})
-		rt.SetObs(run)
+		orun = obs.NewRun(obs.Options{TraceDecisions: cfg.TraceDecisions, RingCap: cfg.DecisionCap})
+		rt.SetObs(orun)
 	}
-	var trace *taskrt.Trace
+	var out unitOut
 	if cfg.TraceTasks && rep == 0 {
-		trace = rt.EnableTracing()
+		out.trace = rt.EnableTracing()
 	}
 	if cfg.Attr {
 		rt.EnableAttr()
 	}
-	res, err := rt.RunProgram(prog)
-	if err != nil {
-		return RunSample{}, fmt.Errorf("harness: %s/%s rep %d: %w", b.Name, k, rep, err)
+	if err := run(rt); err != nil {
+		return unitOut{}, fmt.Errorf("harness: %s/%s rep %d: %w", name, k, rep, err)
 	}
-	var snap *obs.Snapshot
-	if run != nil {
+	if orun != nil {
 		rt.FinalizeObs()
-		snap = run.Snapshot()
-		for i := range snap.Decisions {
-			snap.Decisions[i].Rep = rep
+		out.obs = orun.Snapshot()
+		for i := range out.obs.Decisions {
+			out.obs.Decisions[i].Rep = rep
 		}
 	}
-	return RunSample{
-		ElapsedSec:      float64(res.Elapsed),
-		OverheadSec:     res.OverheadSec,
-		WeightedThreads: res.WeightedAvgThreads,
-		StealsLocal:     res.StealsLocal,
-		StealsRemote:    res.StealsRemote,
-		Tasks:           res.TasksExecuted,
-		Obs:             snap,
-		Trace:           trace,
-		Attr:            rt.AttrSnapshot(),
-	}, nil
+	out.attr = rt.AttrSnapshot()
+	return out, nil
+}
+
+// runCells fills every sample of cells, where cell i runs benchmark
+// benches[i], as one tracked campaign named name.
+func runCells(name string, benches []workloads.Benchmark, cells []*Cell, cfg Config) error {
+	names := make([]string, len(cells))
+	for i, c := range cells {
+		names[i] = c.Bench + "/" + c.Kind.String()
+	}
+	return fanOut(cfg, name, names, func(ci, rep int) (*obs.Snapshot, *obs.AttrSnapshot, error) {
+		s, err := RunOne(benches[ci], cells[ci].Kind, cfg, rep)
+		cells[ci].Samples[rep] = s
+		return s.Obs, s.Attr, err
+	})
 }
 
 // RunCell executes all repetitions of one (benchmark, kind) pair,
 // fanning them across cfg.Jobs workers. Samples stay in repetition order.
 func RunCell(b workloads.Benchmark, k Kind, cfg Config) (*Cell, error) {
-	cfg.Track.Begin(b.Name+"/"+k.String(),
-		[]CellDecl{{Name: b.Name + "/" + k.String(), Units: cfg.Reps}})
-	cfg.Track.AttachCache(cfg.Cache)
 	c := &Cell{Bench: b.Name, Kind: k, Samples: make([]RunSample, cfg.Reps)}
-	err := ForEachCancel(cfg.Jobs, cfg.Reps, cfg.Cancel, func(rep int) error {
-		s, err := RunOne(b, k, cfg, rep)
-		cfg.Track.UnitDone(0, rep, s.Obs, s.Attr, err)
-		if err != nil {
-			return err
-		}
-		c.Samples[rep] = s
-		return nil
-	})
-	cfg.Track.Finish(err)
-	if err != nil {
+	if err := runCells(b.Name+"/"+k.String(), []workloads.Benchmark{b}, []*Cell{c}, cfg); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -417,15 +432,8 @@ type Matrix struct {
 func Run(benches []workloads.Benchmark, kinds []Kind, cfg Config,
 	progress func(bench string, k Kind)) (*Matrix, error) {
 	mx := &Matrix{cells: make(map[string]map[Kind]*Cell)}
-	type unit struct {
-		bench workloads.Benchmark
-		kind  Kind
-		rep   int
-		cell  *Cell
-		track int // tracker cell index
-	}
-	var units []unit
-	var decls []CellDecl
+	var cellBenches []workloads.Benchmark
+	var cells []*Cell
 	for _, b := range benches {
 		mx.Benches = append(mx.Benches, b.Name)
 		mx.cells[b.Name] = make(map[Kind]*Cell)
@@ -435,27 +443,11 @@ func Run(benches []workloads.Benchmark, kinds []Kind, cfg Config,
 			}
 			cell := &Cell{Bench: b.Name, Kind: k, Samples: make([]RunSample, cfg.Reps)}
 			mx.cells[b.Name][k] = cell
-			ti := len(decls)
-			decls = append(decls, CellDecl{Name: b.Name + "/" + k.String(), Units: cfg.Reps})
-			for rep := 0; rep < cfg.Reps; rep++ {
-				units = append(units, unit{bench: b, kind: k, rep: rep, cell: cell, track: ti})
-			}
+			cellBenches = append(cellBenches, b)
+			cells = append(cells, cell)
 		}
 	}
-	cfg.Track.Begin("campaign", decls)
-	cfg.Track.AttachCache(cfg.Cache)
-	err := ForEachCancel(cfg.Jobs, len(units), cfg.Cancel, func(i int) error {
-		u := units[i]
-		s, err := RunOne(u.bench, u.kind, cfg, u.rep)
-		cfg.Track.UnitDone(u.track, u.rep, s.Obs, s.Attr, err)
-		if err != nil {
-			return err
-		}
-		u.cell.Samples[u.rep] = s
-		return nil
-	})
-	cfg.Track.Finish(err)
-	if err != nil {
+	if err := runCells("campaign", cellBenches, cells, cfg); err != nil {
 		return nil, err
 	}
 	return mx, nil

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/stats"
 	"github.com/ilan-sched/ilan/internal/taskrt"
@@ -199,40 +200,22 @@ func RunMulti(kinds []Kind, cfg Config, progress func(k Kind)) (*MultiMatrix, er
 		Cells: make(map[Kind]*MultiCell),
 		Solo:  solo,
 	}
-	type unit struct {
-		kind  Kind
-		rep   int
-		cell  *MultiCell
-		track int
-	}
-	var units []unit
-	var decls []CellDecl
 	scenario := cfg.Multi.Scenario()
-	for _, k := range kinds {
+	cells := make([]*MultiCell, len(kinds))
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
 		if progress != nil {
 			progress(k)
 		}
-		cell := &MultiCell{Kind: k, Samples: make([]MultiSample, cfg.Reps)}
-		mm.Cells[k] = cell
-		ti := len(decls)
-		decls = append(decls, CellDecl{Name: scenario + "/" + k.String(), Units: cfg.Reps})
-		for rep := 0; rep < cfg.Reps; rep++ {
-			units = append(units, unit{kind: k, rep: rep, cell: cell, track: ti})
-		}
+		cells[i] = &MultiCell{Kind: k, Samples: make([]MultiSample, cfg.Reps)}
+		mm.Cells[k] = cells[i]
+		names[i] = scenario + "/" + k.String()
 	}
-	cfg.Track.Begin("multi:"+scenario, decls)
-	cfg.Track.AttachCache(cfg.Cache)
-	err = ForEachCancel(cfg.Jobs, len(units), cfg.Cancel, func(i int) error {
-		u := units[i]
-		s, err := RunMultiOne(benches, u.kind, cfg, u.rep)
-		cfg.Track.UnitDone(u.track, u.rep, s.Obs, nil, err)
-		if err != nil {
-			return err
-		}
-		u.cell.Samples[u.rep] = s
-		return nil
+	err = fanOut(cfg, "multi:"+scenario, names, func(ci, rep int) (*obs.Snapshot, *obs.AttrSnapshot, error) {
+		s, err := RunMultiOne(benches, cells[ci].Kind, cfg, rep)
+		cells[ci].Samples[rep] = s
+		return s.Obs, nil, err
 	})
-	cfg.Track.Finish(err)
 	if err != nil {
 		return nil, err
 	}
@@ -245,59 +228,31 @@ func RunMulti(kinds []Kind, cfg Config, progress func(k Kind)) (*MultiMatrix, er
 // usual inputs.
 func RunMultiOne(benches []workloads.Benchmark, k Kind, cfg Config, rep int) (MultiSample, error) {
 	cfg = multiUnitConfig(cfg)
-	if cfg.Cache == nil {
-		return runMultiUncached(benches, k, cfg, rep)
-	}
-	key := cacheKeyForMulti(k, cfg, rep)
-	if s, ok := cacheGetMulti(cfg.Cache, key); ok {
-		return s, nil
-	}
-	s, err := runMultiUncached(benches, k, cfg, rep)
-	if err == nil {
-		cachePutMulti(cfg.Cache, key, s)
-	}
-	return s, err
-}
-
-// runMultiUncached is the raw simulation path behind RunMultiOne.
-func runMultiUncached(benches []workloads.Benchmark, k Kind, cfg Config, rep int) (MultiSample, error) {
-	m := buildMachine(cfg, rep)
-	w := workloads.CoRunWorkload(m, benches, cfg.Class, cfg.Multi.ArrivalSpreadSec)
-	rt := taskrt.New(m, NewScheduler(k), taskrt.DefaultCosts())
-	var run *obs.Run
-	if cfg.obsEnabled() {
-		run = obs.NewRun(obs.Options{TraceDecisions: cfg.TraceDecisions, RingCap: cfg.DecisionCap})
-		rt.SetObs(run)
-	}
-	var trace *taskrt.Trace
-	if cfg.TraceTasks && rep == 0 {
-		trace = rt.EnableTracing()
-	}
-	res, err := rt.RunWorkload(w)
-	if err != nil {
-		return MultiSample{}, fmt.Errorf("harness: %s/%s rep %d: %w",
-			cfg.Multi.Scenario(), k, rep, err)
-	}
-	var snap *obs.Snapshot
-	if run != nil {
-		rt.FinalizeObs()
-		snap = run.Snapshot()
-		for i := range snap.Decisions {
-			snap.Decisions[i].Rep = rep
-		}
-	}
-	s := MultiSample{ElapsedSec: float64(res.Elapsed), Obs: snap, Trace: trace}
-	for i, pr := range res.Programs {
-		s.Programs = append(s.Programs, ProgramSample{
-			Program:     pr.Name,
-			Bench:       benches[i].Name,
-			ArrivalSec:  pr.ArrivalSec,
-			StartSec:    pr.StartSec,
-			MakespanSec: pr.MakespanSec,
-			Tasks:       pr.TasksExecuted,
+	return cachedUnit(cfg, "", k, rep, func() (MultiSample, error) {
+		var res *taskrt.WorkloadResult
+		out, err := runUnit(cfg.Multi.Scenario(), k, cfg, rep, func(m *machine.Machine) func(*taskrt.Runtime) error {
+			w := workloads.CoRunWorkload(m, benches, cfg.Class, cfg.Multi.ArrivalSpreadSec)
+			return func(rt *taskrt.Runtime) (err error) {
+				res, err = rt.RunWorkload(w)
+				return err
+			}
 		})
-	}
-	return s, nil
+		if err != nil {
+			return MultiSample{}, err
+		}
+		s := MultiSample{ElapsedSec: float64(res.Elapsed), Obs: out.obs, Trace: out.trace}
+		for i, pr := range res.Programs {
+			s.Programs = append(s.Programs, ProgramSample{
+				Program:     pr.Name,
+				Bench:       benches[i].Name,
+				ArrivalSec:  pr.ArrivalSec,
+				StartSec:    pr.StartSec,
+				MakespanSec: pr.MakespanSec,
+				Tasks:       pr.TasksExecuted,
+			})
+		}
+		return s, nil
+	})
 }
 
 // ReportMulti prints the co-run table: per scheduler kind, each program's

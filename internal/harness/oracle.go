@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/ilan-sched/ilan/internal/ilan"
-	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/stats"
 	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/topology"
@@ -43,18 +42,9 @@ func (r *OracleResult) Efficiency() float64 {
 }
 
 // runFixedOnce measures one repetition of a fixed (threads, policy)
-// configuration on a fresh machine; seeds match RunOne's per-rep scheme.
+// configuration on the machine RunOne would run repetition rep on.
 func runFixedOnce(b workloads.Benchmark, threads int, full bool, cfg Config, rep int) (float64, error) {
-	topoSpec := cfg.Topo
-	if topoSpec.Sockets == 0 {
-		topoSpec = topology.Zen4Vera()
-	}
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(topoSpec),
-		Seed:  cfg.Seed ^ (uint64(rep)+1)*0x9e3779b97f4a7c15,
-		Noise: cfg.Noise,
-		Alpha: -1,
-	})
+	m := buildMachine(cfg, rep)
 	opts := ilan.DefaultOptions()
 	opts.FixedThreads = threads
 	opts.FixedStealFull = full

@@ -58,3 +58,35 @@ func TestOracleEfficiencyBounded(t *testing.T) {
 		t.Fatalf("efficiency %g implausibly above 1", e)
 	}
 }
+
+// TestOracleFixedPointsRunOnTheUnitMachine pins that the fixed points run
+// on the machine RunOne builds, disturbance and model overrides included:
+// an oracle measured on the undisturbed machine would be compared against
+// a disturbed ILAN run and report a meaningless efficiency.
+func TestOracleFixedPointsRunOnTheUnitMachine(t *testing.T) {
+	benches := []workloads.Benchmark{mustBench(t, "CG")}
+	run := func(mut func(*Config)) OracleResult {
+		t.Helper()
+		cfg := testConfig()
+		cfg.Reps = 1
+		mut(&cfg)
+		res, err := RunOracle(benches, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0]
+	}
+	plain := run(func(*Config) {})
+	for name, mut := range map[string]func(*Config){
+		"disturb":       func(c *Config) { c.Disturb = &Disturb{Node: 0} },
+		"controller-bw": func(c *Config) { c.ControllerBW = 5e9 },
+	} {
+		got := run(mut)
+		for i, p := range got.Points {
+			if p.MeanSec == plain.Points[i].MeanSec {
+				t.Errorf("%s: fixed point %d/%v ran %gs, the same as without the override",
+					name, p.Threads, p.StealFull, p.MeanSec)
+			}
+		}
+	}
+}

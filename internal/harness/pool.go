@@ -7,6 +7,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"github.com/ilan-sched/ilan/internal/obs"
 )
 
 // The parallel experiment executor.
@@ -148,6 +150,28 @@ func ForEachCancel(jobs, n int, cancel *Canceler, fn func(i int) error) error {
 		return ErrInterrupted
 	}
 	return nil
+}
+
+// fanOut runs every repetition of the named cells across cfg.Jobs workers
+// as one tracked campaign (Track.Begin, ForEachCancel, Track.Finish). Unit
+// i is repetition i%cfg.Reps of cell i/cfg.Reps; run executes it, stores
+// its sample, and returns what the tracker records for it.
+func fanOut(cfg Config, label string, cells []string,
+	run func(cell, rep int) (*obs.Snapshot, *obs.AttrSnapshot, error)) error {
+	decls := make([]CellDecl, len(cells))
+	for i, name := range cells {
+		decls[i] = CellDecl{Name: name, Units: cfg.Reps}
+	}
+	cfg.Track.Begin(label, decls)
+	cfg.Track.AttachCache(cfg.Cache)
+	err := ForEachCancel(cfg.Jobs, len(cells)*cfg.Reps, cfg.Cancel, func(i int) error {
+		cell, rep := i/cfg.Reps, i%cfg.Reps
+		snap, attr, err := run(cell, rep)
+		cfg.Track.UnitDone(cell, rep, snap, attr, err)
+		return err
+	})
+	cfg.Track.Finish(err)
+	return err
 }
 
 // runSafe invokes fn(i), converting a panic into an error so one broken

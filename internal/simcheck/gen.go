@@ -281,7 +281,7 @@ func (sc Scenario) BuildProgram(m *machine.Machine) *taskrt.Program {
 
 // BuildWorkload materializes the scenario as a Programs-way concurrent
 // workload: each program is an identically-shaped copy with disjoint loop
-// IDs and its own memory regions.
+// IDs and its own memory regions, its loops tagged with its name.
 func (sc Scenario) BuildWorkload(m *machine.Machine) *taskrt.Workload {
 	n := sc.Programs
 	if n < 1 {
@@ -289,7 +289,11 @@ func (sc Scenario) BuildWorkload(m *machine.Machine) *taskrt.Workload {
 	}
 	w := &taskrt.Workload{Name: "fuzz", ArrivalSpreadSec: sc.ArrivalSpread}
 	for i := 0; i < n; i++ {
-		w.Programs = append(w.Programs, sc.buildProgram(m, i))
+		p := sc.buildProgram(m, i)
+		for _, l := range p.Loops {
+			l.Program = p.Name
+		}
+		w.Programs = append(w.Programs, p)
 	}
 	return w
 }

@@ -68,48 +68,32 @@ type RunResult struct {
 }
 
 // RunProgram executes the program to completion and returns the aggregate
-// result. It drives the engine itself; the engine must be otherwise idle.
+// result. It is the one-program case of RunWorkload: the program arrives
+// at the current virtual time, starts at once, and keeps no loop tag (a
+// solo program's trace stays a single process). It drives the engine
+// itself; the engine must be otherwise idle.
+//
+// The counts are this run's. OverheadSec is the runtime-wide accumulator,
+// charged once per overhead term and spanning every run on the runtime;
+// summing per-loop subtotals (ProgramResult.OverheadSec) can differ from
+// it in the last bits.
 func (rt *Runtime) RunProgram(p *Program) (*RunResult, error) {
-	if err := p.Validate(); err != nil {
+	if p == nil {
+		return nil, fmt.Errorf("taskrt: nil program")
+	}
+	wr, err := rt.RunWorkload(&Workload{Name: p.Name, Programs: []*Program{p}})
+	if err != nil {
 		return nil, err
 	}
-	if len(rt.execs) != 0 {
-		return nil, fmt.Errorf("taskrt: RunProgram while a loop is in flight")
-	}
-	start := rt.eng.Now()
-	tasksBefore := rt.mach.TasksStarted()
-
-	// The continuation is iterative, not recursive: SubmitLoop's done
-	// callback fires from the event loop, so a self-referencing step that
-	// advances a cursor submits the next loop without growing the native
-	// stack with the sequence length (done callbacks return before the
-	// next completion event runs).
-	cursor := 0
-	var step func(*LoopStats)
-	step = func(*LoopStats) {
-		if cursor == len(p.Sequence) {
-			return
-		}
-		i := p.Sequence[cursor]
-		cursor++
-		rt.SubmitLoop(p.Loops[i], step)
-	}
-	step(nil)
-	if err := rt.eng.Run(); err != nil {
-		return nil, fmt.Errorf("taskrt: program %q: %w", p.Name, err)
-	}
-
-	res := &RunResult{
-		Elapsed:        rt.eng.Now() - start,
-		OverheadSec:    rt.overheadSec,
-		LoopExecutions: rt.loopExecutions,
-		TasksExecuted:  rt.mach.TasksStarted() - tasksBefore,
-		StealsLocal:    rt.stealsLocal,
-		StealsRemote:   rt.stealsRemote,
-		StealAttempts:  rt.stealAttempts,
-	}
-	if rt.elapsedLoopSec > 0 {
-		res.WeightedAvgThreads = rt.weightedThreadSec / rt.elapsedLoopSec
-	}
-	return res, nil
+	pr := wr.Programs[0]
+	return &RunResult{
+		Elapsed:            wr.Elapsed,
+		OverheadSec:        rt.overheadSec,
+		LoopExecutions:     pr.LoopExecutions,
+		TasksExecuted:      pr.TasksExecuted,
+		StealsLocal:        pr.StealsLocal,
+		StealsRemote:       pr.StealsRemote,
+		StealAttempts:      pr.StealAttempts,
+		WeightedAvgThreads: pr.WeightedAvgThreads,
+	}, nil
 }

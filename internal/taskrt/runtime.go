@@ -84,13 +84,12 @@ type Runtime struct {
 	lastLoopAttr  obs.LoopAttr
 
 	// Run-level aggregates.
-	overheadSec       float64
-	elapsedLoopSec    float64
-	weightedThreadSec float64
-	stealsLocal       int
-	stealsRemote      int
-	stealAttempts     int
-	loopExecutions    int
+	overheadSec    float64
+	elapsedLoopSec float64
+	stealsLocal    int
+	stealsRemote   int
+	stealAttempts  int
+	loopExecutions int
 }
 
 // victimSet is a plan-scoped partition of the active threads, precomputed
@@ -228,8 +227,8 @@ func (rt *Runtime) EnergyModel() machine.EnergyModel { return rt.energy }
 // Executions from different programs may be in flight concurrently as long
 // as their plans are core-disjoint; a plan claiming a held core panics at
 // validation. Within one program, loops still serialize through their
-// barriers (RunProgram / the workload admission queue submit the next loop
-// only from the previous loop's done callback).
+// barriers (RunWorkload submits the next loop only from the previous
+// loop's done callback).
 func (rt *Runtime) SubmitLoop(spec *LoopSpec, done func(*LoopStats)) {
 	if err := spec.Validate(); err != nil {
 		panic(err)
@@ -588,7 +587,6 @@ func (rt *Runtime) completeLoop(le *loopExec) {
 	}
 	rt.loopExecutions++
 	rt.elapsedLoopSec += float64(le.st.Elapsed)
-	rt.weightedThreadSec += float64(le.st.Elapsed) * float64(le.st.ActiveThreads)
 	rt.sched.Observe(rt, le.spec, &le.st)
 	if le.done != nil {
 		le.done(&le.st)

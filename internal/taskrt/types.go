@@ -33,7 +33,8 @@ type LoopSpec struct {
 	Tasks  int // number of task chunks the loop is partitioned into
 	Demand DemandFunc
 	// Program names the program this loop belongs to in a multiprogrammed
-	// run ("" for a solo program). The runtime stamps it onto the plan's
+	// run ("" for a solo program). The builders that assemble co-runs set
+	// it; RunWorkload leaves it alone. The runtime stamps it onto the plan's
 	// Owner and tags traces, decisions, and attribution with it, so
 	// co-running programs stay distinguishable in every export.
 	Program string

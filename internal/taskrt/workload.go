@@ -25,9 +25,10 @@ type Workload struct {
 }
 
 // Validate checks workload consistency: every program valid on its own,
-// program names unique and non-empty (they key the per-program results and
-// tag traces), and loop IDs globally unique across programs (loop IDs key
-// scheduler state such as ILAN's PTT, which is per-runtime).
+// program names unique and, once there are co-runners, non-empty (they key
+// the per-program results and tag traces; a lone program needs neither),
+// and loop IDs globally unique across programs (loop IDs key scheduler
+// state such as ILAN's PTT, which is per-runtime).
 func (w *Workload) Validate() error {
 	if w == nil {
 		return fmt.Errorf("taskrt: nil workload")
@@ -45,7 +46,7 @@ func (w *Workload) Validate() error {
 		if err := p.Validate(); err != nil {
 			return err
 		}
-		if p.Name == "" {
+		if p.Name == "" && len(w.Programs) > 1 {
 			return fmt.Errorf("taskrt: workload %q has an unnamed program", w.Name)
 		}
 		if names[p.Name] {
@@ -98,7 +99,6 @@ type progState struct {
 	p                 *Program
 	res               ProgramResult
 	cursor            int
-	running           bool
 	elapsedLoopSec    float64
 	weightedThreadSec float64
 	loopDone          func(*LoopStats)
@@ -108,8 +108,10 @@ type progState struct {
 // results in Programs order. Admission is FIFO: an arriving program queues,
 // and queued programs start (in arrival order) whenever free cores exist —
 // a program mid-sequence keeps resubmitting through its own barriers
-// without re-queuing. It drives the engine itself; the engine must be
-// otherwise idle.
+// without re-queuing. A zero-delay arrival is admitted synchronously, in
+// slice order, and fires no engine event. RunWorkload never writes
+// LoopSpec.Program: the builders that assemble co-runs tag their loops.
+// It drives the engine itself; the engine must be otherwise idle.
 func (rt *Runtime) RunWorkload(w *Workload) (*WorkloadResult, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -144,7 +146,6 @@ func (rt *Runtime) RunWorkload(w *Workload) (*WorkloadResult, error) {
 		for len(queue) > 0 && rt.freeCores() > 0 {
 			ps := queue[0]
 			queue = queue[1:]
-			ps.running = true
 			ps.res.StartSec = float64(rt.eng.Now())
 			submitNext(ps)
 		}
@@ -152,9 +153,10 @@ func (rt *Runtime) RunWorkload(w *Workload) (*WorkloadResult, error) {
 
 	for pi, p := range w.Programs {
 		ps := &progState{p: p, res: ProgramResult{Name: p.Name}}
-		for _, l := range p.Loops {
-			l.Program = p.Name
-		}
+		// The continuation is iterative, not recursive: loopDone fires
+		// from the event loop and returns before the next completion
+		// event runs, so resubmitting from it never grows the native stack
+		// with the sequence length.
 		ps.loopDone = func(st *LoopStats) {
 			ps.res.LoopExecutions++
 			for _, n := range st.NodeTasks {
@@ -169,7 +171,6 @@ func (rt *Runtime) RunWorkload(w *Workload) (*WorkloadResult, error) {
 			if ps.cursor < len(ps.p.Sequence) {
 				submitNext(ps)
 			} else {
-				ps.running = false
 				ps.res.EndSec = float64(rt.eng.Now())
 				live--
 			}
@@ -179,15 +180,20 @@ func (rt *Runtime) RunWorkload(w *Workload) (*WorkloadResult, error) {
 		}
 		states[pi] = ps
 
+		arrive := func() {
+			ps.res.ArrivalSec = float64(rt.eng.Now())
+			queue = append(queue, ps)
+			pump()
+		}
 		var delay sim.Duration
 		if arr != nil {
 			delay = sim.Duration(arr.Float64() * w.ArrivalSpreadSec)
 		}
-		rt.eng.After(delay, func() {
-			ps.res.ArrivalSec = float64(rt.eng.Now())
-			queue = append(queue, ps)
-			pump()
-		})
+		if delay == 0 {
+			arrive()
+		} else {
+			rt.eng.After(delay, arrive)
+		}
 	}
 
 	if err := rt.eng.Run(); err != nil {

@@ -142,6 +142,64 @@ func TestRunWorkloadSoloDegenerate(t *testing.T) {
 	if pr.WeightedAvgThreads != solo.WeightedAvgThreads {
 		t.Errorf("weighted threads %v != solo %v", pr.WeightedAvgThreads, solo.WeightedAvgThreads)
 	}
+	// A zero-delay arrival is admitted synchronously: no arrival event.
+	if got, want := rtW.Machine().Engine().Processed(), rtSolo.Machine().Engine().Processed(); got != want {
+		t.Errorf("workload fired %d events, solo %d", got, want)
+	}
+}
+
+// TestRunWorkloadLeavesProgramTagsAlone pins that program tagging belongs
+// to the builders that assemble co-runs: RunWorkload itself never writes
+// LoopSpec.Program, so a hand-built one-program workload stays untagged
+// (and its trace a single process), while pre-tagged loops keep their tag.
+func TestRunWorkloadLeavesProgramTagsAlone(t *testing.T) {
+	rt := newTestRuntime(t, &planScheduler{name: "spread", plan: spreadPlan})
+	tr := rt.EnableTracing()
+	p := seqProgram("p", 1, 2, 4)
+	if _, err := rt.RunWorkload(&Workload{Name: "w", Programs: []*Program{p}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range p.Loops {
+		if l.Program != "" {
+			t.Fatalf("loop %d tagged %q by RunWorkload", l.ID, l.Program)
+		}
+	}
+	for _, ev := range tr.Tasks {
+		if ev.Program != "" {
+			t.Fatalf("task event tagged %q in an untagged workload", ev.Program)
+		}
+	}
+
+	rt = newTestRuntime(t, &planScheduler{name: "spread", plan: spreadPlan})
+	q := seqProgram("q", 1, 2, 4)
+	for _, l := range q.Loops {
+		l.Program = "tagged"
+	}
+	if _, err := rt.RunWorkload(&Workload{Name: "w", Programs: []*Program{q}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range q.Loops {
+		if l.Program != "tagged" {
+			t.Fatalf("loop %d tag rewritten to %q", l.ID, l.Program)
+		}
+	}
+}
+
+// TestRunProgramUnnamed: a lone program needs no name (nothing is keyed or
+// tagged by it), so RunProgram accepts an unnamed one.
+func TestRunProgramUnnamed(t *testing.T) {
+	rt := newTestRuntime(t, &planScheduler{name: "spread", plan: spreadPlan})
+	p := seqProgram("", 1, 2, 4)
+	res, err := rt.RunProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LoopExecutions != 4 {
+		t.Fatalf("loop executions = %d, want 4", res.LoopExecutions)
+	}
+	if _, err := rt.RunProgram(nil); err == nil {
+		t.Fatal("nil program accepted")
+	}
 }
 
 // TestRunWorkloadConcurrentPrograms drives two programs through a

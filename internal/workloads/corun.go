@@ -18,7 +18,8 @@ import (
 // Program names are the benchmark names; when the same benchmark co-runs
 // with itself the later copies are suffixed "#2", "#3", ... so workload
 // validation (unique program names) and per-program reporting stay
-// unambiguous.
+// unambiguous. Every loop is tagged with its program name (even when only
+// one benchmark co-runs), so traces and decisions group per program.
 func CoRunWorkload(m *machine.Machine, benches []Benchmark, cls Class, spreadSec float64) *taskrt.Workload {
 	w := &taskrt.Workload{Name: "corun", ArrivalSpreadSec: spreadSec}
 	seen := map[string]int{}
@@ -32,6 +33,7 @@ func CoRunWorkload(m *machine.Machine, benches []Benchmark, cls Class, spreadSec
 		// Sequence indexes Loops positionally, so only the IDs move.
 		for _, l := range p.Loops {
 			l.ID += 1000 * i
+			l.Program = p.Name
 		}
 		w.Programs = append(w.Programs, p)
 	}
