@@ -157,15 +157,12 @@ func main() {
 	if *disturb >= 0 {
 		cfg.Disturb = &harness.Disturb{Node: *disturb}
 	}
-	switch *class {
-	case "paper":
-		cfg.Class = workloads.ClassPaper
-	case "test":
-		cfg.Class = workloads.ClassTest
-	default:
-		fmt.Fprintf(os.Stderr, "ilanexp: unknown class %q\n", *class)
+	cls, err := workloads.ParseClass(*class)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ilanexp:", err)
 		os.Exit(2)
 	}
+	cfg.Class = cls
 
 	if *exp == "multi" {
 		list := *corun

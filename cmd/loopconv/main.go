@@ -18,11 +18,13 @@ import (
 	"sort"
 
 	"github.com/ilan-sched/ilan/internal/harness"
-	ilansched "github.com/ilan-sched/ilan/internal/ilan"
+	"github.com/ilan-sched/ilan/internal/ilan"
 	"github.com/ilan-sched/ilan/internal/looplang"
 	"github.com/ilan-sched/ilan/internal/machine"
+	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/topology"
+	"github.com/ilan-sched/ilan/internal/workloads"
 )
 
 const exampleDoc = `{
@@ -50,7 +52,7 @@ const exampleDoc = `{
 func main() {
 	file := flag.String("f", "", "workload description (JSON)")
 	schedName := flag.String("sched", "", "run only one scheduler kind: baseline|ilan|ilan-nomold|worksharing|affinity|ilan-counters|shepherd")
-	seed := flag.Uint64("seed", 1, "machine seed")
+	seed := flag.Uint64("seed", 1, "base seed (the harness derives the machine seed from it)")
 	noise := flag.Bool("noise", false, "enable the machine noise model")
 	verbose := flag.Bool("v", false, "print per-loop PTT outcomes for ILAN runs")
 	example := flag.Bool("example", false, "print a starter document and exit")
@@ -87,56 +89,65 @@ func main() {
 		kinds = []harness.Kind{k}
 	}
 
-	noiseCfg := machine.NoiseConfig{}
+	cfg := harness.Config{Reps: 1, Seed: *seed, Topo: topology.Zen4Vera(), TraceDecisions: *verbose}
 	if *noise {
-		noiseCfg = machine.DefaultNoise()
+		cfg.Noise = machine.DefaultNoise()
+	}
+	// Checking the document against the machine's node count here means
+	// Build below cannot fail: a bad document exits before any unit runs.
+	if err := doc.Validate(topology.MustNew(cfg.Topo).NumNodes()); err != nil {
+		fmt.Fprintln(os.Stderr, "loopconv:", err)
+		os.Exit(1)
+	}
+	b := workloads.Benchmark{Name: doc.Name, Build: func(m *machine.Machine, _ workloads.Class) *taskrt.Program {
+		prog, err := doc.Build(m)
+		if err != nil {
+			panic(err) // unreachable: validated above
+		}
+		return prog
+	}}
+	mx, err := harness.Run([]workloads.Benchmark{b}, kinds, cfg, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "loopconv:", err)
+		os.Exit(1)
 	}
 
 	fmt.Printf("%-14s %12s %10s %12s %12s\n", "scheduler", "time(s)", "speedup", "avg threads", "overhead(ms)")
 	var base float64
 	for i, k := range kinds {
-		m := machine.New(machine.Config{
-			Topo:  topology.MustNew(topology.Zen4Vera()),
-			Seed:  *seed,
-			Noise: noiseCfg,
-			Alpha: -1,
-		})
-		prog, err := doc.Build(m)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loopconv:", err)
-			os.Exit(1)
-		}
-		inst := harness.NewScheduler(k)
-		rt := taskrt.New(m, inst, taskrt.DefaultCosts())
-		res, err := rt.RunProgram(prog)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loopconv:", err)
-			os.Exit(1)
-		}
-		el := float64(res.Elapsed)
+		s := mx.Cell(doc.Name, k).Samples[0]
 		if i == 0 {
-			base = el
+			base = s.ElapsedSec
 		}
 		fmt.Printf("%-14s %12.4f %9.3fx %12.1f %12.3f\n",
-			k, el, base/el, res.WeightedAvgThreads, 1e3*res.OverheadSec)
-
-		if il, ok := inst.(*ilansched.Scheduler); ok && *verbose {
-			for _, l := range prog.Loops {
-				cfg, phase, ok := il.ChosenConfig(l.ID)
-				if !ok {
-					continue
-				}
-				fmt.Printf("    loop %-12s phase=%-10v chosen=%v\n", l.Name, phase, cfg)
-				tried := il.TriedConfigs(l.ID)
-				var widths []int
-				for w := range tried {
-					widths = append(widths, w)
-				}
-				sort.Ints(widths)
-				for _, w := range widths {
-					fmt.Printf("        threads=%-3d mean=%.6f\n", w, tried[w])
-				}
-			}
+			k, s.ElapsedSec, base/s.ElapsedSec, s.WeightedThreads, 1e3*s.OverheadSec)
+		if *verbose {
+			printPTT(doc, s.Obs)
 		}
+	}
+}
+
+// printPTT prints each loop's PTT outcome folded from the run's decision
+// trace; schedulers without a PTT record no decisions and print nothing.
+func printPTT(doc *looplang.Document, snap *obs.Snapshot) {
+	ptt, truncated := ilan.FoldDecisions(snap.Decisions)
+	for i, l := range doc.Loops {
+		cfg, phase, ok := ptt.ChosenConfig(i + 1) // Build numbers loops from 1
+		if !ok {
+			continue
+		}
+		fmt.Printf("    loop %-12s phase=%-10v chosen=%v\n", l.Name, phase, cfg)
+		tried := ptt.TriedConfigs(i + 1)
+		widths := make([]int, 0, len(tried))
+		for w := range tried {
+			widths = append(widths, w)
+		}
+		sort.Ints(widths)
+		for _, w := range widths {
+			fmt.Printf("        threads=%-3d mean=%.6f\n", w, tried[w])
+		}
+	}
+	if truncated {
+		fmt.Println("    (the decision ring dropped early executions; means cover the retained ones)")
 	}
 }

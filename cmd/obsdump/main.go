@@ -9,11 +9,17 @@
 //	obsdump -in results.json                           # list cells
 //	obsdump -in results.json -cell CG/ilan             # summary
 //	obsdump -in results.json -cell CG/ilan -format prom
-//	obsdump -in results.json -cell CG/ilan -format decisions
+//	obsdump -in results.json -cell CG/ilan -format decisions   # + PTT summary
 //	obsdump -in results.json -cell CG/ilan -format folded > cg.folded
 //	obsdump -in results.json -cell CG/ilan perfetto > cg.trace.json
 //	obsdump -in attr.json attr                         # attribution tables
 //	obsdump -in attr.json -cell CG/ilan attr           # one cell, with loops
+//
+// The decisions format lists every retained decision, then folds rep 0's
+// decisions (ilan.FoldDecisions) into a per-loop PTT summary: the final
+// configuration and phase, the mean explore-phase score per thread count,
+// and the exploration regret — or, for a loop whose first executions the
+// ring dropped, a truncation note instead of a regret.
 //
 // The perfetto format (also spellable as a trailing argument, as above)
 // converts the cell's rep-0 task trace plus its decision trace into
@@ -25,7 +31,8 @@
 // ilanexp -attr (DESIGN.md §14): without -cell, a per-scheduler table of
 // every cell's task-time decomposition plus comparison bars; with -cell,
 // that cell's full breakdown including per-resource interference and the
-// per-loop makespan terms.
+// per-loop makespan terms, led by each loop's mean execution time
+// (MakespanSec/Executions).
 package main
 
 import (
@@ -33,9 +40,11 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"github.com/ilan-sched/ilan/internal/chrometrace"
+	"github.com/ilan-sched/ilan/internal/ilan"
 	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/results"
 	"github.com/ilan-sched/ilan/internal/textchart"
@@ -231,6 +240,42 @@ func writeDecisions(s *obs.Snapshot) error {
 		fmt.Printf("(%d older decisions were dropped by the per-run ring buffer)\n",
 			int(s.DecisionsTotal)-len(s.Decisions))
 	}
+
+	// The PTT summary folds repetition 0's decisions back into the
+	// per-loop view the live scheduler had at the end of that run.
+	var rep0 []obs.Decision
+	var ids []int
+	for _, d := range s.Decisions {
+		if d.Rep != 0 {
+			continue
+		}
+		rep0 = append(rep0, d)
+		if !slices.Contains(ids, d.LoopID) {
+			ids = append(ids, d.LoopID)
+		}
+	}
+	sort.Ints(ids)
+	ptt, _ := ilan.FoldDecisions(rep0)
+	fmt.Printf("\nPTT summary (rep 0; scores in the objective's unit):\n")
+	for _, id := range ids {
+		cfg, phase, _ := ptt.ChosenConfig(id)
+		fmt.Printf("loop %-5d phase=%-10s chosen=%v", id, phase, cfg)
+		if extra, mean, ok := ptt.Regret(id); ok {
+			fmt.Printf("  regret=%.6g (settled mean %.6g)", extra, mean)
+		} else if h := ptt.History(id); h[0].K > 1 {
+			fmt.Printf("  regret=n/a (trace starts at k=%d: the ring dropped earlier executions)", h[0].K)
+		}
+		fmt.Println()
+		tried := ptt.TriedConfigs(id)
+		threads := make([]int, 0, len(tried))
+		for th := range tried {
+			threads = append(threads, th)
+		}
+		sort.Ints(threads)
+		for _, th := range threads {
+			fmt.Printf("    threads=%-3d mean=%.6g\n", th, tried[th])
+		}
+	}
 	return nil
 }
 
@@ -314,8 +359,8 @@ func writeAttr(file *results.File, cellName string) error {
 		}
 		if len(c.Attr.Loops) > 0 {
 			fmt.Printf("\nloop makespan attribution (core-seconds):\n\n")
-			fmt.Printf("%-16s %6s %12s %12s %12s %12s %12s %12s %12s %12s\n",
-				"loop", "execs", "core", "select", "task", "steal", "imbal", "barrier", "qwait", "residual")
+			fmt.Printf("%-16s %6s %10s %12s %12s %12s %12s %12s %12s %12s %12s\n",
+				"loop", "execs", "mean(ms)", "core", "select", "task", "steal", "imbal", "barrier", "qwait", "residual")
 			names := make([]string, 0, len(c.Attr.Loops))
 			for n := range c.Attr.Loops {
 				names = append(names, n)
@@ -323,8 +368,9 @@ func writeAttr(file *results.File, cellName string) error {
 			sort.Strings(names)
 			for _, n := range names {
 				l := c.Attr.Loops[n]
-				fmt.Printf("%-16s %6d %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.3g\n",
-					n, l.Executions, l.CoreSec, l.SelectSec, l.TaskSec, l.StealSec,
+				fmt.Printf("%-16s %6d %10.4f %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.3g\n",
+					n, l.Executions, 1e3*l.MakespanSec/float64(l.Executions),
+					l.CoreSec, l.SelectSec, l.TaskSec, l.StealSec,
 					l.ImbalanceSec, l.BarrierSec, l.QueueWaitSec, l.ResidualSec)
 			}
 		}

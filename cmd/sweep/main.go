@@ -85,8 +85,13 @@ func main() {
 		}
 		values = append(values, v)
 	}
+	cls, err := workloads.ParseClass(*class)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(2)
+	}
 	cfg := harness.Config{
-		Class:          workloads.ClassTest,
+		Class:          cls,
 		Reps:           *reps,
 		Seed:           *seed,
 		Jobs:           *jobs,
@@ -95,15 +100,6 @@ func main() {
 		Metrics:        *metrics,
 		TraceDecisions: *traceDecisions,
 		Attr:           *attr,
-	}
-	switch *class {
-	case "paper":
-		cfg.Class = workloads.ClassPaper
-	case "test":
-		// default
-	default:
-		fmt.Fprintf(os.Stderr, "sweep: unknown class %q\n", *class)
-		os.Exit(2)
 	}
 
 	// As in ilanexp: the monitor only observes, so sweep output is

@@ -1,7 +1,8 @@
-// Command tracedump runs a benchmark with task-event tracing enabled and
-// writes the execution trace (every task's placement, timing, and steal
-// provenance, plus taskloop boundaries) as JSON or JSON-lines — the raw
-// material for timelines, placement heatmaps and steal-flow analysis.
+// Command tracedump runs one repetition of a benchmark through the harness
+// unit with task-event tracing enabled and writes the execution trace
+// (every task's placement, timing, and steal provenance, plus taskloop
+// boundaries) as JSON or JSON-lines — the raw material for timelines,
+// placement heatmaps and steal-flow analysis.
 //
 // Usage:
 //
@@ -18,8 +19,6 @@ import (
 
 	"github.com/ilan-sched/ilan/internal/fsatomic"
 	"github.com/ilan-sched/ilan/internal/harness"
-	"github.com/ilan-sched/ilan/internal/machine"
-	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/timeline"
 	"github.com/ilan-sched/ilan/internal/topology"
 	"github.com/ilan-sched/ilan/internal/workloads"
@@ -31,7 +30,7 @@ func main() {
 	class := flag.String("class", "test", "benchmark scale: paper|test")
 	out := flag.String("o", "", "output file (omit for summary only)")
 	format := flag.String("format", "jsonl", "output format: jsonl|json")
-	seed := flag.Uint64("seed", 1, "machine seed")
+	seed := flag.Uint64("seed", 1, "base seed (the harness derives the machine seed from it)")
 	showTimeline := flag.Bool("timeline", false, "render an ASCII per-node occupancy timeline")
 	tlWidth := flag.Int("width", 100, "timeline width in columns")
 	flag.Parse()
@@ -46,37 +45,33 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracedump: unknown scheduler %q\n", *schedName)
 		os.Exit(2)
 	}
-	s := harness.NewScheduler(kind)
-	cls := workloads.ClassTest
-	if *class == "paper" {
-		cls = workloads.ClassPaper
+	cls, err := workloads.ParseClass(*class)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracedump:", err)
+		os.Exit(2)
 	}
 
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.Zen4Vera()),
-		Seed:  *seed,
-		Noise: machine.NoiseConfig{},
-		Alpha: -1,
-	})
-	prog := b.Build(m, cls)
-	rt := taskrt.New(m, s, taskrt.DefaultCosts())
-	trace := rt.EnableTracing()
-	res, err := rt.RunProgram(prog)
+	// One traced repetition through the harness unit: repetition 0 is the
+	// one that records the task trace.
+	cfg := harness.Config{Class: cls, Reps: 1, Seed: *seed, Topo: topology.Zen4Vera(), TraceTasks: true}
+	sample, err := harness.RunOne(b, kind, cfg, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracedump:", err)
 		os.Exit(1)
 	}
+	trace := sample.Trace
+	topo := topology.MustNew(cfg.Topo)
 
-	fmt.Printf("%s under %s: %.4f virtual seconds\n", b.Name, s.Name(), float64(res.Elapsed))
-	fmt.Println(trace.Summary(m.Topology().NumNodes()))
+	fmt.Printf("%s under %s: %.4f virtual seconds\n", b.Name, kind, sample.ElapsedSec)
+	fmt.Println(trace.Summary(topo.NumNodes()))
 
 	if *showTimeline {
 		fmt.Println()
 		err := timeline.Render(os.Stdout, trace, timeline.Options{
 			Width:  *tlWidth,
 			ByNode: true,
-			Cores:  m.Topology().NumCores(),
-			Nodes:  m.Topology().NumNodes(),
+			Cores:  topo.NumCores(),
+			Nodes:  topo.NumNodes(),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tracedump:", err)

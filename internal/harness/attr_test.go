@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"github.com/ilan-sched/ilan/internal/taskrt"
 )
 
 // TestAttrOutputNeutral: attribution must not perturb a campaign — every
@@ -116,5 +118,51 @@ func TestAttrCGILANBeatsObliviousBaseline(t *testing.T) {
 	if base.Task.LocalitySec <= 0 {
 		t.Fatalf("oblivious baseline shows no locality penalty (%gs); the term is not being attributed",
 			base.Task.LocalitySec)
+	}
+}
+
+// elapsedRecorder wraps a scheduler and sums every execution's
+// LoopStats.Elapsed per loop, the per-loop mean a calibration run reads
+// straight off the scheduler callbacks.
+type elapsedRecorder struct {
+	taskrt.Scheduler
+	sums  map[int]float64
+	count map[int]int
+}
+
+func (r *elapsedRecorder) Observe(rt *taskrt.Runtime, sp *taskrt.LoopSpec, st *taskrt.LoopStats) {
+	r.Scheduler.Observe(rt, sp, st)
+	r.sums[sp.ID] += float64(st.Elapsed)
+	r.count[sp.ID]++
+}
+
+// TestAttrLoopMeanMatchesObservedElapsed pins obsdump's attr mean(ms)
+// column, 1e3·MakespanSec/Executions, to the scheduler-observed loop times:
+// the attribution's per-loop makespan sum and execution count must equal
+// Σ LoopStats.Elapsed and the Observe count exactly, not within a tolerance.
+func TestAttrLoopMeanMatchesObservedElapsed(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	b := mustBench(t, "CG")
+	for _, k := range []Kind{KindBaseline, KindILANNoMold, KindILAN} {
+		m := buildMachine(cfg, 0)
+		prog := b.Build(m, cfg.Class)
+		rec := &elapsedRecorder{Scheduler: NewScheduler(k), sums: map[int]float64{}, count: map[int]int{}}
+		rt := taskrt.New(m, rec, taskrt.DefaultCosts())
+		rt.EnableAttr()
+		if _, err := rt.RunProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		loops := rt.AttrSnapshot().Loops
+		for _, l := range prog.Loops {
+			la := loops[l.Name]
+			if la.Executions != rec.count[l.ID] || la.MakespanSec != rec.sums[l.ID] {
+				t.Errorf("%s loop %s: attr %d executions, %.17g s; observed %d, %.17g s",
+					k, l.Name, la.Executions, la.MakespanSec, rec.count[l.ID], rec.sums[l.ID])
+			}
+			if la.Executions == 0 {
+				t.Errorf("%s loop %s never executed", k, l.Name)
+			}
+		}
 	}
 }

@@ -120,8 +120,13 @@ type loopState struct {
 	strictFracPct int
 	lastGreens    int
 
-	// history records every execution for diagnostics (ptttrace).
+	// history records every execution for diagnostics (ChosenConfig,
+	// Regret, obsdump's PTT summary).
 	history []ExecRecord
+
+	// truncated marks a loop rebuilt by FoldDecisions whose trace lost
+	// its first executions; Regret then has nothing exact to report.
+	truncated bool
 
 	// obsPhase is the phase after the previous Observe, used by the
 	// observability hook to count phase transitions.

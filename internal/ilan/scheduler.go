@@ -551,8 +551,8 @@ func (s *Scheduler) obsObserve(rt *taskrt.Runtime, spec *taskrt.LoopSpec, ls *lo
 }
 
 // ChosenConfig exposes the current configuration for a loop ID
-// (diagnostics, the ptttrace tool, and tests). ok is false for loops the
-// scheduler has not seen.
+// (diagnostics and tests). ok is false for loops the scheduler has not
+// seen.
 func (s *Scheduler) ChosenConfig(loopID int) (cfg Config, phase Phase, ok bool) {
 	ls, found := s.loops[loopID]
 	if !found {
@@ -573,7 +573,7 @@ func (s *Scheduler) ChosenConfig(loopID int) (cfg Config, phase Phase, ok bool) 
 // has no settled executions to compare against.
 func (s *Scheduler) Regret(loopID int) (exploration, settledMean float64, ok bool) {
 	ls, found := s.loops[loopID]
-	if !found {
+	if !found || ls.truncated {
 		return 0, 0, false
 	}
 	var settledSum float64
@@ -618,4 +618,70 @@ func (s *Scheduler) TriedConfigs(loopID int) map[int]float64 {
 		out[th] = c.mean()
 	}
 	return out
+}
+
+// FoldDecisions rebuilds the PTT view of one run from its decision trace:
+// the obs.Decision records of a single repetition, in the completion order
+// the ring keeps them. The result answers ChosenConfig, TriedConfigs,
+// Regret and History as the run's live scheduler did, bit for bit, since
+// the fold accumulates the same scores in the same order as Observe. The
+// trace records less than the live state, so folded configurations carry
+// the node mask only (Nodes ascending, Cores nil) and history records carry
+// the score but no ElapsedSec. The result is a read-only view; it cannot
+// Plan.
+//
+// truncated reports that the ring dropped some loop's first executions
+// (its retained trace starts after k=1). Such a loop's TriedConfigs covers
+// only the retained executions, and Regret reports ok=false for it.
+func FoldDecisions(ds []obs.Decision) (s *Scheduler, truncated bool) {
+	s = &Scheduler{loops: make(map[int]*loopState)}
+	for _, d := range ds {
+		ls, ok := s.loops[d.LoopID]
+		if !ok {
+			ls = &loopState{tried: make(map[int]*cfgStats), truncated: d.K > 1}
+			truncated = truncated || ls.truncated
+			s.loops[d.LoopID] = ls
+		}
+		cfg := Config{Threads: d.Threads, StealFull: d.StealFull}
+		for n := 0; n < 64; n++ {
+			if d.NodeMask&(1<<uint(n)) != 0 {
+				cfg.Nodes = append(cfg.Nodes, n)
+			}
+		}
+		phase := PhaseExplore
+		for p := PhaseExplore; p <= PhaseSettled; p++ {
+			if p.String() == d.Phase {
+				phase = p
+			}
+		}
+		ls.pending = cfg
+		ls.history = append(ls.history, ExecRecord{K: d.K, Cfg: cfg, Phase: phase, Score: d.Score})
+		switch phase {
+		case PhaseExplore:
+			c, ok := ls.tried[d.Threads]
+			if !ok {
+				c = &cfgStats{threads: d.Threads}
+				ls.tried[d.Threads] = c
+			}
+			c.totalSec += d.Score
+			c.count++
+			ls.phase = PhaseExplore
+		case PhaseEvalSteal:
+			// The full-policy trial keeps full stealing only if it beat the
+			// strict mean at the same width (selectMoldable's reference;
+			// the fixed-width path's k=1 score is the same number whenever
+			// its first two executions ran at one width, as solo runs do).
+			strict := math.Inf(1)
+			if c, ok := ls.tried[d.Threads]; ok {
+				strict = c.mean()
+			}
+			ls.chosen = cfg
+			ls.chosen.StealFull = d.Score < strict
+			ls.phase = PhaseSettled
+		default:
+			ls.chosen = cfg
+			ls.phase = PhaseSettled
+		}
+	}
+	return s, truncated
 }

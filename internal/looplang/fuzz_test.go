@@ -20,7 +20,7 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		// Accepted documents must be internally consistent.
-		if err := doc.Validate(); err != nil {
+		if err := doc.Validate(0); err != nil {
 			t.Fatalf("parsed document fails validation: %v", err)
 		}
 		// Bound resource usage under -fuzz: skip absurd declarations.
@@ -45,7 +45,12 @@ func FuzzParse(f *testing.F) {
 		m := newM()
 		prog, err := doc.Build(m)
 		if err != nil {
-			return // clean build failure is fine (e.g. unsized span region)
+			// Build may only fail where Validate against the machine does
+			// (a node:<n> beyond its nodes).
+			if doc.Validate(m.Topology().NumNodes()) == nil {
+				t.Fatalf("Build failed on a document that validates: %v", err)
+			}
+			return
 		}
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("built program invalid: %v", err)

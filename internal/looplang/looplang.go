@@ -35,6 +35,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/memsys"
@@ -94,14 +96,18 @@ func Parse(r io.Reader) (*Document, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("looplang: %w", err)
 	}
-	if err := doc.Validate(); err != nil {
+	if err := doc.Validate(0); err != nil {
 		return nil, err
 	}
 	return &doc, nil
 }
 
-// Validate checks the document's internal consistency.
-func (d *Document) Validate() error {
+// Validate checks everything Build needs short of allocating memory: the
+// document's internal consistency, that every region gets a size, and that
+// every "node:<n>" placement has 0 <= n, and n < nodes when nodes > 0 (the
+// NUMA node count of the machine it will build on). A document that
+// validates against the machine's node count builds without error.
+func (d *Document) Validate(nodes int) error {
 	if d.Name == "" {
 		return fmt.Errorf("looplang: document needs a name")
 	}
@@ -125,11 +131,15 @@ func (d *Document) Validate() error {
 		}
 		switch p := r.Placement; {
 		case p == "" || p == "blocked" || p == "interleaved":
-		case len(p) > 5 && p[:5] == "node:":
+		case strings.HasPrefix(p, "node:"):
+			if n, err := strconv.Atoi(p[5:]); err != nil || n < 0 || (nodes > 0 && n >= nodes) {
+				return fmt.Errorf("looplang: region %q placement %q is not a valid node", r.Name, p)
+			}
 		default:
 			return fmt.Errorf("looplang: region %q has unknown placement %q", r.Name, r.Placement)
 		}
 	}
+	streamed := map[string]bool{}
 	loops := map[string]bool{}
 	for _, l := range d.Loops {
 		if l.Name == "" {
@@ -171,6 +181,7 @@ func (d *Document) Validate() error {
 			if a.Pattern != "" {
 				return fmt.Errorf("looplang: loop %q stream must not set a pattern", l.Name)
 			}
+			streamed[a.Region] = true
 		}
 	}
 	for _, s := range d.Sequence {
@@ -178,14 +189,37 @@ func (d *Document) Validate() error {
 			return fmt.Errorf("looplang: sequence references unknown loop %q", s)
 		}
 	}
+	// A region without sizeMB is auto-sized from its streams, so it needs
+	// one; a span only reads a region's extent and cannot size it.
+	sized := map[string]bool{}
+	for _, r := range d.Regions {
+		sized[r.Name] = r.SizeMB > 0 || streamed[r.Name]
+	}
+	for _, l := range d.Loops {
+		for _, a := range l.Spans {
+			if !sized[a.Region] {
+				return fmt.Errorf("looplang: span region %q needs an explicit sizeMB", a.Region)
+			}
+		}
+	}
+	for _, r := range d.Regions {
+		if !sized[r.Name] {
+			return fmt.Errorf("looplang: region %q is never streamed and has no sizeMB", r.Name)
+		}
+	}
 	return nil
 }
 
 // Build compiles the document into a Program on the given machine,
-// allocating and placing its regions.
+// allocating and placing its regions. It fails only where Validate
+// against the machine's node count does, and then before allocating.
 func (d *Document) Build(m *machine.Machine) (*taskrt.Program, error) {
-	if err := d.Validate(); err != nil {
+	nodes := make([]int, m.Topology().NumNodes())
+	if err := d.Validate(len(nodes)); err != nil {
 		return nil, err
+	}
+	for i := range nodes {
+		nodes[i] = i
 	}
 	// Auto-size regions from the largest stream that walks them.
 	sizes := map[string]int64{}
@@ -199,23 +233,8 @@ func (d *Document) Build(m *machine.Machine) (*taskrt.Program, error) {
 			}
 		}
 	}
-	for _, l := range d.Loops {
-		for _, a := range l.Spans {
-			if sizes[a.Region] == 0 {
-				return nil, fmt.Errorf("looplang: span region %q needs an explicit sizeMB", a.Region)
-			}
-		}
-	}
-
-	nodes := make([]int, m.Topology().NumNodes())
-	for i := range nodes {
-		nodes[i] = i
-	}
 	regions := map[string]*memsys.Region{}
 	for _, rd := range d.Regions {
-		if sizes[rd.Name] == 0 {
-			return nil, fmt.Errorf("looplang: region %q is never streamed and has no sizeMB", rd.Name)
-		}
 		r := m.Memory().NewRegion(rd.Name, sizes[rd.Name])
 		switch p := rd.Placement; {
 		case p == "" || p == "blocked":
@@ -223,10 +242,7 @@ func (d *Document) Build(m *machine.Machine) (*taskrt.Program, error) {
 		case p == "interleaved":
 			r.PlaceInterleaved(nodes)
 		default: // "node:<n>", validated above
-			var n int
-			if _, err := fmt.Sscanf(p, "node:%d", &n); err != nil || n < 0 || n >= len(nodes) {
-				return nil, fmt.Errorf("looplang: region %q placement %q is not a valid node", rd.Name, p)
-			}
+			n, _ := strconv.Atoi(p[5:])
 			r.PlaceOnNode(n)
 		}
 		regions[rd.Name] = r
@@ -235,11 +251,7 @@ func (d *Document) Build(m *machine.Machine) (*taskrt.Program, error) {
 	prog := &taskrt.Program{Name: d.Name}
 	byName := map[string]int{}
 	for i, l := range d.Loops {
-		spec, err := l.compile(i+1, regions)
-		if err != nil {
-			return nil, err
-		}
-		prog.Loops = append(prog.Loops, spec)
+		prog.Loops = append(prog.Loops, l.compile(i+1, regions))
 		byName[l.Name] = i
 	}
 	perStep := d.Sequence
@@ -257,7 +269,7 @@ func (d *Document) Build(m *machine.Machine) (*taskrt.Program, error) {
 }
 
 // compile turns one loop declaration into a LoopSpec.
-func (l *LoopDecl) compile(id int, regions map[string]*memsys.Region) (*taskrt.LoopSpec, error) {
+func (l *LoopDecl) compile(id int, regions map[string]*memsys.Region) *taskrt.LoopSpec {
 	type streamAcc struct {
 		r   *memsys.Region
 		bpi int64
@@ -327,7 +339,7 @@ func (l *LoopDecl) compile(id int, regions map[string]*memsys.Region) (*taskrt.L
 			}
 			return sec, acc
 		},
-	}, nil
+	}
 }
 
 // blockHashWeight mirrors the workload package's deterministic block

@@ -1,6 +1,8 @@
 package looplang
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -180,27 +182,51 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 	}
 }
 
-func TestBuildRejectsUnsizedSpanRegion(t *testing.T) {
-	doc := `{"name":"x","steps":1,"regions":[{"name":"r"}],
-	  "loops":[{"name":"l","iters":4,"tasks":2,"spans":[{"region":"r","kbPerIter":1}]}]}`
-	d, err := Parse(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
+// TestValidateRejectsUnbuildableDocuments: every way Build can fail is a
+// Validate error, caught before any region is allocated. Machine-free
+// failures are already Parse errors; an out-of-range node only fails once
+// Validate knows the machine's node count, which is how loopconv rejects
+// such a document before the harness runs a unit.
+func TestValidateRejectsUnbuildableDocuments(t *testing.T) {
+	const loop = `"loops":[{"name":"l","iters":4,"tasks":2,"streams":[{"region":"used","kbPerIter":1}]%s}]}`
+	cases := []struct {
+		name, regions, spans, want string
+		parses                     bool // machine-free check passes
+	}{
+		{"unsized span region", `{"name":"r"}`, `,"spans":[{"region":"r","kbPerIter":1}]`,
+			`span region "r" needs an explicit sizeMB`, false},
+		{"unused unsized region", `{"name":"r"}`, ``,
+			`region "r" is never streamed and has no sizeMB`, false},
+		{"node not a number", `{"name":"r","sizeMB":8,"placement":"node:x"}`, ``,
+			`region "r" placement "node:x" is not a valid node`, false},
+		{"negative node", `{"name":"r","sizeMB":8,"placement":"node:-1"}`, ``,
+			`region "r" placement "node:-1" is not a valid node`, false},
+		{"node out of range", `{"name":"r","sizeMB":8,"placement":"node:99"}`, ``,
+			`region "r" placement "node:99" is not a valid node`, true},
 	}
-	if _, err := d.Build(newM()); err == nil {
-		t.Fatal("span over unsized region accepted")
-	}
-}
-
-func TestBuildRejectsUnusedUnsizedRegion(t *testing.T) {
-	doc := `{"name":"x","steps":1,"regions":[{"name":"r"},{"name":"used"}],
-	  "loops":[{"name":"l","iters":4,"tasks":2,"streams":[{"region":"used","kbPerIter":1}]}]}`
-	d, err := Parse(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Build(newM()); err == nil {
-		t.Fatal("unused unsized region accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := `{"name":"x","steps":1,"regions":[` + c.regions + `,{"name":"used"}],` +
+				fmt.Sprintf(loop, c.spans)
+			_, err := Parse(strings.NewReader(src))
+			if (err == nil) != c.parses {
+				t.Fatalf("Parse error = %v, want parse ok = %v", err, c.parses)
+			}
+			var d Document
+			if err := json.Unmarshal([]byte(src), &d); err != nil {
+				t.Fatal(err)
+			}
+			m := newM()
+			if err := d.Validate(m.Topology().NumNodes()); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate error = %v, want %q", err, c.want)
+			}
+			if _, err := d.Build(m); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Build error = %v, want %q", err, c.want)
+			}
+			if n := len(m.Memory().Regions()); n != 0 {
+				t.Fatalf("failed Build allocated %d regions", n)
+			}
+		})
 	}
 }
 

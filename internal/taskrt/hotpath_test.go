@@ -15,9 +15,9 @@ type silentScheduler struct {
 	plan func(rt *Runtime, spec *LoopSpec) *Plan
 }
 
-func (s *silentScheduler) Name() string                            { return "silent" }
+func (s *silentScheduler) Name() string                                      { return "silent" }
 func (s *silentScheduler) Plan(rt *Runtime, l *LoopSpec, _ *Occupancy) *Plan { return s.plan(rt, l) }
-func (s *silentScheduler) Observe(*Runtime, *LoopSpec, *LoopStats) {}
+func (s *silentScheduler) Observe(*Runtime, *LoopSpec, *LoopStats)           {}
 
 // loopAllocs measures the average allocations of one full loop execution
 // (submission through barrier) on a warmed runtime.

@@ -497,7 +497,7 @@ func (rt *Runtime) taskDone(th *thread) {
 		rt.trace.record(TaskEvent{
 			LoopID: le.spec.ID, LoopName: le.spec.Name, Exec: le.exec,
 			Program: le.spec.Program,
-			Lo: task.Lo, Hi: task.Hi, Core: th.core, Node: th.node,
+			Lo:      task.Lo, Hi: task.Hi, Core: th.core, Node: th.node,
 			StartSec: float64(th.curStart), EndSec: float64(rt.eng.Now()),
 			Stolen: th.curStolen, Remote: th.curRemote,
 			Strict: task.Strict, FromCore: th.curFrom,

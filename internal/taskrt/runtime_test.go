@@ -18,7 +18,7 @@ type planScheduler struct {
 	observed []*LoopStats
 }
 
-func (s *planScheduler) Name() string                        { return s.name }
+func (s *planScheduler) Name() string                                      { return s.name }
 func (s *planScheduler) Plan(rt *Runtime, l *LoopSpec, _ *Occupancy) *Plan { return s.plan(rt, l) }
 func (s *planScheduler) Observe(_ *Runtime, _ *LoopSpec, st *LoopStats) {
 	s.observed = append(s.observed, st)

@@ -43,6 +43,18 @@ func (c Class) String() string {
 	}
 }
 
+// ParseClass parses a class name (the inverse of Class.String). Every CLI
+// that takes -class uses it, so an unknown name is an error everywhere
+// rather than a silent fallback to one of the classes.
+func ParseClass(s string) (Class, error) {
+	for _, c := range []Class{ClassTest, ClassPaper} {
+		if c.String() == s {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown class %q (valid: paper, test)", s)
+}
+
 // Benchmark is a registry entry: a named builder that assembles the
 // benchmark's data regions and taskloop program on a machine.
 type Benchmark struct {

@@ -43,6 +43,30 @@ func TestByName(t *testing.T) {
 	}
 }
 
+func TestParseClass(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Class
+		ok   bool
+	}{
+		{"test", ClassTest, true},
+		{"paper", ClassPaper, true},
+		{"", 0, false},
+		{"bogus", 0, false},
+		{"Paper", 0, false},
+		{"class(0)", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseClass(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseClass(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+		if err == nil && got.String() != c.in {
+			t.Errorf("ParseClass(%q).String() = %q, not a round trip", c.in, got.String())
+		}
+	}
+}
+
 func TestAllProgramsValidate(t *testing.T) {
 	for _, cls := range []Class{ClassTest, ClassPaper} {
 		for _, b := range All() {
