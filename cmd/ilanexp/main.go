@@ -9,6 +9,9 @@
 //	ilanexp -exp all -jobs 8         # same campaign across 8 workers
 //	ilanexp -exp fig6 -bench CG,FT   # subset of benchmarks
 //	ilanexp -exp fig2 -class test    # reduced scale (fast smoke run)
+//	ilanexp -exp oracle -bench CG    # best fixed configuration vs ILAN's search
+//	ilanexp -exp sweep -bench SP -param controllerbw -values 30e9,45e9,60e9
+//	                                 # sensitivity to one machine-model parameter
 package main
 
 import (
@@ -20,6 +23,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -27,9 +31,11 @@ import (
 	"github.com/ilan-sched/ilan/internal/chrometrace"
 	"github.com/ilan-sched/ilan/internal/fsatomic"
 	"github.com/ilan-sched/ilan/internal/harness"
+	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/obsserve"
 	"github.com/ilan-sched/ilan/internal/results"
+	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/topology"
 	"github.com/ilan-sched/ilan/internal/workloads"
 )
@@ -42,11 +48,11 @@ import (
 const exitInterrupted = 3
 
 func main() {
-	exp := flag.String("exp", "fig2", "experiment: fig2|fig3|fig4|table1|fig5|fig6|affinity|counters|related|oracle|multi|all")
+	exp := flag.String("exp", "fig2", "experiment: fig2|fig3|fig4|table1|fig5|fig6|affinity|counters|related|oracle|sweep|multi|all")
 	reps := flag.Int("reps", 30, "repetitions per (benchmark, scheduler) pair")
 	jobs := flag.Int("jobs", 0, "parallel workers for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	class := flag.String("class", "paper", "benchmark scale: paper|test")
-	benchList := flag.String("bench", "", "comma-separated benchmark subset (default: all)")
+	benchList := flag.String("bench", "", "comma-separated benchmark subset (default: all; -exp sweep takes one, default CG)")
 	seed := flag.Uint64("seed", 2025, "base random seed")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	chart := flag.Bool("chart", false, "render results as ASCII bar charts")
@@ -55,7 +61,7 @@ func main() {
 	out := flag.String("out", "", "also write the campaign as JSON (for resultdiff)")
 	label := flag.String("label", "", "label stored in the -out file")
 	in := flag.String("in", "", "render reports from a saved campaign JSON instead of running")
-	metrics := flag.Bool("metrics", false, "collect observability metrics; merged per cell into the -out JSON")
+	metrics := flag.Bool("metrics", false, "collect observability metrics; merged per cell into the -out JSON (-exp sweep: ILAN's steal split per point)")
 	traceDecisions := flag.Bool("trace-decisions", false, "record every ILAN configuration decision (implies -metrics)")
 	serve := flag.String("serve", "", "serve live campaign progress over HTTP on this address (e.g. :8080 or 127.0.0.1:0)")
 	serveLinger := flag.Duration("serve-linger", 0, "keep the -serve monitor up this long after the campaign finishes")
@@ -63,6 +69,8 @@ func main() {
 	attrOut := flag.String("attr", "", "collect virtual-time attribution and write the per-cell report JSON to this file (output-neutral: -out/-perfetto bytes are identical either way)")
 	corun := flag.String("corun", "", "comma-separated benchmarks to co-run as one workload (-exp multi; default CG,FT)")
 	spread := flag.Float64("spread", 0, "spread co-run program arrivals over this many seconds (-exp multi)")
+	param := flag.String("param", "beta", "machine-model parameter to sweep (-exp sweep): alpha|beta|controllerbw|corebw|linkbw")
+	valuesArg := flag.String("values", "0,0.0003,0.001,0.003", "comma-separated parameter values (-exp sweep)")
 	noCoalesce := flag.Bool("no-coalesce", false, "disable instant-coalesced refresh in the fluid model (debug; outputs are byte-identical either way)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memprofile := flag.String("memprofile", "", "write a heap-allocation profile to this file at exit")
@@ -75,27 +83,49 @@ func main() {
 	// Flag-value errors exit with code 2 (matching flag.Parse's own
 	// convention); runtime failures exit with 1.
 	if *jobs < 0 {
-		fmt.Fprintf(os.Stderr, "ilanexp: -jobs must be >= 0 (got %d)\n", *jobs)
-		os.Exit(2)
+		die(2, fmt.Sprintf("-jobs must be >= 0 (got %d)", *jobs))
 	}
 	if *reps < 1 {
-		fmt.Fprintf(os.Stderr, "ilanexp: -reps must be >= 1 (got %d)\n", *reps)
-		os.Exit(2)
+		die(2, fmt.Sprintf("-reps must be >= 1 (got %d)", *reps))
 	}
 	if *cacheMaxMB < 0 {
-		fmt.Fprintf(os.Stderr, "ilanexp: -cache-max-mb must be >= 0 (got %d)\n", *cacheMaxMB)
-		os.Exit(2)
+		die(2, fmt.Sprintf("-cache-max-mb must be >= 0 (got %d)", *cacheMaxMB))
+	}
+	// A flag the chosen experiment never reads is a usage error too, so
+	// asking the oracle study for a -out file cannot exit 0 and write none.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	study := *exp == "oracle" || *exp == "sweep"
+	for _, r := range []struct {
+		flags []string
+		ok    bool
+		why   string
+	}{
+		{[]string{"corun", "spread"}, *exp == "multi", "requires -exp multi"},
+		{[]string{"param", "values"}, *exp == "sweep", "requires -exp sweep"},
+		{[]string{"out", "perfetto", "attr", "chart", "in"}, !study, "does not apply to -exp " + *exp},
+	} {
+		for _, name := range r.flags {
+			if set[name] && !r.ok {
+				die(2, "-"+name+" "+r.why)
+			}
+		}
+	}
+	var kinds []harness.Kind
+	if !study {
+		var err error
+		if kinds, err = harness.KindsFor(*exp); err != nil {
+			die(2, err)
+		}
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -132,15 +162,13 @@ func main() {
 	// The live monitor observes the campaign through a Tracker the pool
 	// publishes into; it never feeds back, so -out JSON is byte-identical
 	// with or without -serve.
-	var track *harness.Tracker
 	if *serve != "" {
-		track = harness.NewTracker()
+		track := harness.NewTracker()
 		cfg.Track = track
 		srv := obsserve.New(track)
 		addr, err := srv.Start(*serve)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "serving live campaign monitor on http://%s\n", addr)
@@ -150,8 +178,7 @@ func main() {
 	}
 	spec, ok := topology.Presets()[*topo]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "ilanexp: unknown topology %q\n", *topo)
-		os.Exit(2)
+		die(2, fmt.Sprintf("unknown topology %q", *topo))
 	}
 	cfg.Topo = spec
 	if *disturb >= 0 {
@@ -159,8 +186,7 @@ func main() {
 	}
 	cls, err := workloads.ParseClass(*class)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ilanexp:", err)
-		os.Exit(2)
+		die(2, err)
 	}
 	cfg.Class = cls
 
@@ -174,27 +200,47 @@ func main() {
 			co.Benches = append(co.Benches, strings.TrimSpace(name))
 		}
 		if *spread < 0 {
-			fmt.Fprintf(os.Stderr, "ilanexp: -spread must be >= 0 (got %g)\n", *spread)
-			os.Exit(2)
+			die(2, fmt.Sprintf("-spread must be >= 0 (got %g)", *spread))
 		}
 		cfg.Multi = co
-	} else if *corun != "" || *spread != 0 {
-		fmt.Fprintln(os.Stderr, "ilanexp: -corun/-spread require -exp multi")
-		os.Exit(2)
 	}
 
 	benches := workloads.All()
+	if *exp == "sweep" && *benchList == "" {
+		*benchList = "CG"
+	}
 	if *benchList != "" {
 		var subset []workloads.Benchmark
 		for _, name := range strings.Split(*benchList, ",") {
 			b, ok := workloads.ByName(strings.TrimSpace(name))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "ilanexp: unknown benchmark %q\n", name)
-				os.Exit(2)
+				die(2, fmt.Sprintf("unknown benchmark %q", name))
 			}
 			subset = append(subset, b)
 		}
 		benches = subset
+	}
+
+	var sweepParam harness.SweepParam
+	var values []float64
+	if *exp == "sweep" {
+		if len(benches) != 1 {
+			die(2, "-exp sweep takes one -bench")
+		}
+		if sweepParam, err = harness.ParseSweepParam(*param); err != nil {
+			die(2, err)
+		}
+		for _, v := range strings.Split(*valuesArg, ",") {
+			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			if err != nil {
+				die(2, fmt.Sprintf("bad -values entry %q: %v", v, err))
+			}
+			values = append(values, f)
+		}
+		// A sensitivity curve isolates one parameter's effect: with the
+		// machine's noise on, run-to-run jitter would blur the small
+		// differences between neighbouring values at a handful of reps.
+		cfg.Noise = machine.NoiseConfig{}
 	}
 
 	// The campaign cache and graceful interruption are wired after every
@@ -209,8 +255,7 @@ func main() {
 		}
 		cc, err := cellcache.Open(dir, int64(*cacheMaxMB)<<20)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		cfg.Cache = cc
 		finishCache = func() {
@@ -220,6 +265,22 @@ func main() {
 				st.Hits, st.Misses, st.Evictions, st.Errors, dir)
 		}
 		defer finishCache()
+	}
+	// fail exits for a campaign error: an interrupted campaign flushes the
+	// cache and exits with the resume code, anything else exits 1.
+	fail := func(what string, err error) {
+		if !errors.Is(err, harness.ErrInterrupted) {
+			die(1, err)
+		}
+		finishCache()
+		if cfg.Cache != nil {
+			fmt.Fprintf(os.Stderr,
+				"ilanexp: %s interrupted; completed units are cached — rerun the same command to resume\n", what)
+		} else {
+			fmt.Fprintf(os.Stderr,
+				"ilanexp: %s interrupted (run with -cache to make interrupted campaigns resumable)\n", what)
+		}
+		os.Exit(exitInterrupted)
 	}
 
 	// First SIGINT: stop dispatching new units, let in-flight ones finish
@@ -240,256 +301,184 @@ func main() {
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		saved, err := results.Read(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		if *exp == "multi" {
 			mm := saved.ToMultiMatrix()
 			if mm == nil {
-				fmt.Fprintln(os.Stderr, "ilanexp: results file holds no multi campaign")
-				os.Exit(1)
+				die(1, "results file holds no multi campaign")
 			}
 			if err := harness.ReportMulti(os.Stdout, mm); err != nil {
-				fmt.Fprintln(os.Stderr, "ilanexp:", err)
-				os.Exit(1)
+				die(1, err)
 			}
 			return
 		}
-		mx := saved.ToMatrix()
-		if err := harness.Report(os.Stdout, *exp, mx); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
-		}
-		if *chart && *exp != "table1" {
-			fmt.Println()
-			if err := harness.RenderChart(os.Stdout, *exp, mx); err != nil {
-				fmt.Fprintln(os.Stderr, "ilanexp:", err)
-				os.Exit(1)
-			}
-		}
+		report(*exp, saved.ToMatrix(), *chart)
 		return
 	}
 
-	if *exp == "oracle" {
-		progress := func(bench string, threads int, full bool) {
+	switch *exp {
+	case "oracle":
+		res, err := harness.RunOracle(benches, cfg, func(bench string, threads int, full bool) {
 			if !*quiet {
 				fmt.Fprintf(os.Stderr, "oracle %-8s threads=%-3d full=%v\n", bench, threads, full)
 			}
-		}
-		res, err := harness.RunOracle(benches, cfg, progress)
+		})
 		if err != nil {
-			if errors.Is(err, harness.ErrInterrupted) {
-				finishCache()
-				fmt.Fprintln(os.Stderr, "ilanexp: oracle study interrupted")
-				os.Exit(exitInterrupted)
-			}
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			fail("oracle study", err)
 		}
 		harness.ReportOracle(os.Stdout, res)
 		return
-	}
-
-	kinds, err := harness.KindsFor(*exp)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ilanexp:", err)
-		os.Exit(2)
-	}
-
-	if *exp == "multi" {
-		progress := func(k harness.Kind) {
+	case "sweep":
+		points, err := harness.Sweep(benches[0], sweepParam, values, cfg, func(v float64) {
 			if !*quiet {
-				fmt.Fprintf(os.Stderr, "queued %-8s %-12s (%d reps, %d jobs)\n",
-					cfg.Multi.Scenario(), k, cfg.Reps, harness.DefaultJobs(cfg.Jobs))
+				fmt.Fprintf(os.Stderr, "%s = %g done\n", sweepParam, v)
 			}
-		}
-		start := time.Now()
-		mm, err := harness.RunMulti(kinds, cfg, progress)
+		})
 		if err != nil {
-			if errors.Is(err, harness.ErrInterrupted) {
-				finishCache()
-				fmt.Fprintln(os.Stderr, "ilanexp: multi campaign interrupted")
-				os.Exit(exitInterrupted)
-			}
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+			fail("sweep", err)
 		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "campaign finished in %v\n\n", time.Since(start).Round(time.Millisecond))
-		}
-		if err := harness.ReportMulti(os.Stdout, mm); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
-		}
-		if *out != "" {
-			file := results.FromMulti(mm, cfg, *label)
-			if err := fsatomic.WriteFile(*out, file.Write); err != nil {
-				fmt.Fprintln(os.Stderr, "ilanexp:", err)
-				os.Exit(1)
-			}
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "campaign written to %s\n", *out)
-			}
-		}
-		if *perfetto != "" {
-			if err := writePerfettoMulti(*perfetto, mm); err != nil {
-				fmt.Fprintln(os.Stderr, "ilanexp:", err)
-				os.Exit(1)
-			}
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "perfetto trace written to %s\n", *perfetto)
-			}
-		}
-		if *attrOut != "" {
-			// Co-run units do not collect attribution; the sidecar carries
-			// the solo reference cells' reports.
-			file := results.AttrFromMatrix(mm.Solo, cfg, *label)
-			if file == nil {
-				fmt.Fprintln(os.Stderr, "ilanexp: no attribution collected (internal error: -attr should imply attribution)")
-				os.Exit(1)
-			}
-			if err := fsatomic.WriteFile(*attrOut, file.Write); err != nil {
-				fmt.Fprintln(os.Stderr, "ilanexp:", err)
-				os.Exit(1)
-			}
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "attribution report written to %s\n", *attrOut)
-			}
-		}
+		harness.ReportSweep(os.Stdout, benches[0].Name, sweepParam, points)
 		return
 	}
 
-	progress := func(bench string, k harness.Kind) {
+	queued := func(name string, k harness.Kind) {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "queued %-8s %-12s (%d reps, %d jobs)\n",
-				bench, k, cfg.Reps, harness.DefaultJobs(cfg.Jobs))
+				name, k, cfg.Reps, harness.DefaultJobs(cfg.Jobs))
 		}
 	}
 	start := time.Now()
-	mx, err := harness.Run(benches, kinds, cfg, progress)
-	if err != nil {
-		if errors.Is(err, harness.ErrInterrupted) {
-			finishCache()
-			if cfg.Cache != nil {
-				fmt.Fprintln(os.Stderr,
-					"ilanexp: campaign interrupted; completed units are cached — rerun the same command to resume")
-			} else {
-				fmt.Fprintln(os.Stderr,
-					"ilanexp: campaign interrupted (run with -cache to make interrupted campaigns resumable)")
-			}
-			os.Exit(exitInterrupted)
+	// mx holds the solo cells: the report's for a solo campaign, the solo
+	// reference's for a co-run one.
+	var (
+		mx *harness.Matrix
+		mm *harness.MultiMatrix
+	)
+	if *exp == "multi" {
+		mm, err = harness.RunMulti(kinds, cfg, func(k harness.Kind) { queued(cfg.Multi.Scenario(), k) })
+		if err != nil {
+			fail("multi campaign", err)
 		}
-		fmt.Fprintln(os.Stderr, "ilanexp:", err)
-		os.Exit(1)
+		mx = mm.Solo
+	} else {
+		mx, err = harness.Run(benches, kinds, cfg, queued)
+		if err != nil {
+			fail("campaign", err)
+		}
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "campaign finished in %v\n\n", time.Since(start).Round(time.Millisecond))
 	}
-	if err := harness.Report(os.Stdout, *exp, mx); err != nil {
-		fmt.Fprintln(os.Stderr, "ilanexp:", err)
-		os.Exit(1)
+	if mm != nil {
+		if err := harness.ReportMulti(os.Stdout, mm); err != nil {
+			die(1, err)
+		}
+	} else {
+		report(*exp, mx, *chart)
 	}
-	if *chart && *exp != "table1" {
-		fmt.Println()
-		if err := harness.RenderChart(os.Stdout, *exp, mx); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+
+	// Every output file is written atomically (temp + rename): a crash or
+	// SIGINT mid-encode must not clobber the previous good file with
+	// truncated JSON.
+	save := func(path, what string, write func(io.Writer) error) {
+		if err := fsatomic.WriteFile(path, write); err != nil {
+			die(1, err)
+		}
+		if !*quiet {
+			fmt.Fprintf(os.Stderr, "%s written to %s\n", what, path)
 		}
 	}
 	if *out != "" {
-		// Atomic write (temp + rename): a crash or SIGINT mid-encode must
-		// not clobber the previous good results file with truncated JSON.
-		file := results.FromMatrix(mx, cfg, *label)
-		if err := fsatomic.WriteFile(*out, file.Write); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+		var file *results.File
+		if mm != nil {
+			file = results.FromMulti(mm, cfg, *label)
+		} else {
+			file = results.FromMatrix(mx, cfg, *label)
 		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "campaign written to %s\n", *out)
-		}
+		save(*out, "campaign", file.Write)
 	}
 	if *perfetto != "" {
-		if err := writePerfetto(*perfetto, mx); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
+		var traced []tracedCell
+		if mm != nil {
+			for _, k := range mm.Kinds {
+				if c := mm.Cells[k]; c != nil && c.TaskTrace() != nil {
+					traced = append(traced, tracedCell{k, c.TaskTrace(), c.Samples[0].Obs})
+				}
+			}
+		} else {
+			mx.EachCell(func(c *harness.Cell) {
+				if c.TaskTrace() != nil {
+					traced = append(traced, tracedCell{c.Kind, c.TaskTrace(), c.Samples[0].Obs})
+				}
+			})
 		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "perfetto trace written to %s\n", *perfetto)
-		}
+		save(*perfetto, "perfetto trace", func(w io.Writer) error { return writePerfetto(w, traced) })
 	}
 	if *attrOut != "" {
 		// The attribution report is a sidecar results.File (attr-only
-		// cells), written atomically like -out.
+		// cells). Co-run units do not collect attribution, so a co-run
+		// campaign's sidecar carries its solo reference cells' reports.
 		file := results.AttrFromMatrix(mx, cfg, *label)
 		if file == nil {
-			fmt.Fprintln(os.Stderr, "ilanexp: no attribution collected (internal error: -attr should imply attribution)")
-			os.Exit(1)
+			die(1, "no attribution collected (internal error: -attr should imply attribution)")
 		}
-		if err := fsatomic.WriteFile(*attrOut, file.Write); err != nil {
-			fmt.Fprintln(os.Stderr, "ilanexp:", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "attribution report written to %s\n", *attrOut)
+		save(*attrOut, "attribution report", file.Write)
+	}
+}
+
+// die prints msg to stderr and exits with code: 2 for a flag error, 1 for
+// a runtime failure.
+func die(code int, msg any) {
+	fmt.Fprintln(os.Stderr, "ilanexp:", msg)
+	os.Exit(code)
+}
+
+// report prints experiment exp's tables from mx, then its ASCII charts
+// when asked (table1 has none).
+func report(exp string, mx *harness.Matrix, chart bool) {
+	if err := harness.Report(os.Stdout, exp, mx); err != nil {
+		die(1, err)
+	}
+	if chart && exp != "table1" {
+		fmt.Println()
+		if err := harness.RenderChart(os.Stdout, exp, mx); err != nil {
+			die(1, err)
 		}
 	}
 }
 
-// writePerfetto exports rep 0's task trace as Chrome trace-event JSON.
-// The ILAN cell is the interesting one (phase transitions, yellow/green
-// stealing); fall back to the first traced cell when the campaign ran
-// without ILAN.
-func writePerfetto(path string, mx *harness.Matrix) error {
-	var cell *harness.Cell
-	mx.EachCell(func(c *harness.Cell) {
-		if c.TaskTrace() == nil {
-			return
-		}
-		if cell == nil || (cell.Kind != harness.KindILAN && c.Kind == harness.KindILAN) {
-			cell = c
-		}
-	})
-	if cell == nil {
-		return fmt.Errorf("no task trace recorded (internal error: -perfetto should imply tracing)")
-	}
-	var decisions []obs.Decision
-	if o := cell.Samples[0].Obs; o != nil {
-		decisions = o.Decisions
-	}
-	// Atomic write, same rationale as -out: never leave torn trace JSON.
-	return fsatomic.WriteFile(path, func(w io.Writer) error {
-		return chrometrace.Write(w, cell.TaskTrace(), decisions, chrometrace.Options{})
-	})
+// tracedCell is rep 0 of one traced cell, as the Perfetto export draws it.
+type tracedCell struct {
+	kind  harness.Kind
+	trace *taskrt.Trace
+	obs   *obs.Snapshot
 }
 
-// writePerfettoMulti exports rep 0 of a co-run cell: the trace's per-
-// program tags group each co-runner under its own process track. Prefers
-// the ILAN cell like writePerfetto does.
-func writePerfettoMulti(path string, mm *harness.MultiMatrix) error {
-	var cell *harness.MultiCell
-	for _, k := range mm.Kinds {
-		c := mm.Cells[k]
-		if c == nil || c.TaskTrace() == nil {
-			continue
-		}
-		if cell == nil || (cell.Kind != harness.KindILAN && c.Kind == harness.KindILAN) {
-			cell = c
-		}
-	}
-	if cell == nil {
+// writePerfetto exports one cell's rep-0 task trace as Chrome trace-event
+// JSON. The ILAN cell is the interesting one (phase transitions,
+// yellow/green stealing); fall back to the first traced cell when the
+// campaign ran without ILAN. A co-run trace's per-program tags group each
+// co-runner under its own process track.
+func writePerfetto(w io.Writer, cells []tracedCell) error {
+	if len(cells) == 0 {
 		return fmt.Errorf("no task trace recorded (internal error: -perfetto should imply tracing)")
 	}
-	var decisions []obs.Decision
-	if o := cell.Samples[0].Obs; o != nil {
-		decisions = o.Decisions
+	pick := cells[0]
+	for _, c := range cells {
+		if c.kind == harness.KindILAN {
+			pick = c
+			break
+		}
 	}
-	return fsatomic.WriteFile(path, func(w io.Writer) error {
-		return chrometrace.Write(w, cell.TaskTrace(), decisions, chrometrace.Options{})
-	})
+	var decisions []obs.Decision
+	if pick.obs != nil {
+		decisions = pick.obs.Decisions
+	}
+	return chrometrace.Write(w, pick.trace, decisions, chrometrace.Options{})
 }

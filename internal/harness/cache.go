@@ -21,8 +21,9 @@ import (
 // Included (any change must change the result, so it changes the key):
 //   - the simulator/code fingerprint (bumped when the model changes),
 //   - benchmark name and workload class (the workload model + parameters),
-//   - scheduler kind (kind fully determines the scheduler construction,
-//     including its ILAN option set — see NewScheduler),
+//   - scheduler name (the name fully determines the scheduler
+//     construction, including its ILAN option set: a Kind's name via
+//     NewScheduler, an oracle fixed point's via its width and policy),
 //   - the repetition index and base seed (they derive the machine seed),
 //   - noise model, topology spec, disturbance injection,
 //   - machine-model overrides (bandwidths, alpha, beta),
@@ -81,6 +82,7 @@ type cacheKeyInputs struct {
 
 // cacheKey computes a unit's content address. bench names a solo unit's
 // benchmark; a co-run unit passes "" and is named by cfg.Multi instead.
+// sched names the scheduler (Kind.String for the schedulers under test).
 // Each kind of unit drops the field it never reads: a solo simulation
 // ignores the co-run descriptor, so RunMulti's solo reference cells share
 // entries with plain solo campaigns, and a co-run unit collects no
@@ -89,7 +91,7 @@ type cacheKeyInputs struct {
 // cfg.Topo == Zen4Vera() share entries (they run the same machine).
 // TraceTasks only affects repetition 0 (harness only records rep 0's
 // trace), so it is normalized to false for other reps.
-func cacheKey(bench string, k Kind, cfg Config, rep int) string {
+func cacheKey(bench, sched string, cfg Config, rep int) string {
 	topoSpec := cfg.Topo
 	if topoSpec.Sockets == 0 {
 		topoSpec = topology.Zen4Vera()
@@ -99,7 +101,7 @@ func cacheKey(bench string, k Kind, cfg Config, rep int) string {
 		EntryVersion: cellcache.Version,
 		Bench:        bench,
 		Class:        cfg.Class.String(),
-		Kind:         k.String(),
+		Kind:         sched,
 		Rep:          rep,
 		Seed:         cfg.Seed,
 		Noise:        cfg.Noise,
@@ -142,11 +144,11 @@ func cacheKey(bench string, k Kind, cfg Config, rep int) string {
 // prints floats in the shortest form that parses back exactly, and the
 // results writer re-encodes through the same marshaler, so a campaign
 // assembled from cached units is byte-identical to a cold run.
-func cachedUnit[S any](cfg Config, bench string, k Kind, rep int, run func() (S, error)) (S, error) {
+func cachedUnit[S any](cfg Config, bench, sched string, rep int, run func() (S, error)) (S, error) {
 	if cfg.Cache == nil {
 		return run()
 	}
-	key := cacheKey(bench, k, cfg, rep)
+	key := cacheKey(bench, sched, cfg, rep)
 	if s, ok := cacheGet[S](cfg.Cache, key); ok {
 		return s, nil
 	}

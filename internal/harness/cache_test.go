@@ -26,7 +26,7 @@ func baseUnit(t *testing.T) keyUnit {
 	return keyUnit{bench: mustBench(t, "CG"), kind: KindBaseline, cfg: testConfig(), rep: 0}
 }
 
-func (u keyUnit) key() string { return cacheKey(u.bench.Name, u.kind, u.cfg, u.rep) }
+func (u keyUnit) key() string { return cacheKey(u.bench.Name, u.kind.String(), u.cfg, u.rep) }
 
 func TestCacheKeyIsStableHex(t *testing.T) {
 	u := baseUnit(t)
@@ -116,11 +116,11 @@ func TestCacheKeyPerturbation(t *testing.T) {
 func TestCacheKeyMultiPerturbation(t *testing.T) {
 	base := testConfig()
 	base.Multi = &CoRun{Benches: []string{"CG", "FT"}}
-	baseKey := cacheKey("", KindBaseline, base, 0)
+	baseKey := cacheKey("", KindBaseline.String(), base, 0)
 	if baseKey == "" {
 		t.Fatal("multi key empty for a valid co-run config")
 	}
-	if baseKey == cacheKey("CG", KindBaseline, base, 0) {
+	if baseKey == cacheKey("CG", KindBaseline.String(), base, 0) {
 		t.Fatal("multi key collides with a solo key")
 	}
 	perturb := map[string]func(*Config) (Kind, int){
@@ -144,14 +144,14 @@ func TestCacheKeyMultiPerturbation(t *testing.T) {
 		cfg := testConfig()
 		cfg.Multi = &CoRun{Benches: []string{"CG", "FT"}}
 		k, rep := mut(&cfg)
-		if cacheKey("", k, cfg, rep) == baseKey {
+		if cacheKey("", k.String(), cfg, rep) == baseKey {
 			t.Errorf("perturbing %s did not change the multi cache key", name)
 		}
 	}
 	// Attr is normalized out of multi keys (co-run units never collect it).
 	attrCfg := base
 	attrCfg.Attr = true
-	if cacheKey("", KindBaseline, attrCfg, 0) != baseKey {
+	if cacheKey("", KindBaseline.String(), attrCfg, 0) != baseKey {
 		t.Error("attr changed the multi cache key despite being normalized out")
 	}
 }
@@ -177,7 +177,7 @@ func TestCacheKeyPinnedHex(t *testing.T) {
 		{"solo", "CG", "54f3a52ee5c64866d674bd0a8de7bd5a0aa729b42b9eb52d57b9b670a2bc1784"},
 		{"co-run", "", "7aa09e267d674b4a6c3b4cd907afb850c864f4791ad6f1fe7a924a050d5c28bf"},
 	} {
-		if got := cacheKey(c.bench, KindILAN, cfg, 1); got != c.want {
+		if got := cacheKey(c.bench, KindILAN.String(), cfg, 1); got != c.want {
 			t.Errorf("%s unit key = %s, want %s", c.unit, got, c.want)
 		}
 	}

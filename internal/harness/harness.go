@@ -281,9 +281,17 @@ func (c *Cell) MeanThreads() float64 {
 // before returning, so an interrupted campaign's completed units survive
 // for the resuming run.
 func RunOne(b workloads.Benchmark, k Kind, cfg Config, rep int) (RunSample, error) {
-	return cachedUnit(cfg, b.Name, k, rep, func() (RunSample, error) {
+	return runSolo(b, k.String(), func() taskrt.Scheduler { return NewScheduler(k) }, cfg, rep)
+}
+
+// runSolo is RunOne for a scheduler given by name and constructor: the
+// name keys the cache entry, so it must determine everything newSched
+// builds (the oracle's fixed points are named e.g. "ilan-fixed/16/strict").
+func runSolo(b workloads.Benchmark, sched string, newSched func() taskrt.Scheduler,
+	cfg Config, rep int) (RunSample, error) {
+	return cachedUnit(cfg, b.Name, sched, rep, func() (RunSample, error) {
 		var res *taskrt.RunResult
-		out, err := runUnit(b.Name, k, cfg, rep, func(m *machine.Machine) func(*taskrt.Runtime) error {
+		out, err := runUnit(b.Name, sched, newSched, cfg, rep, func(m *machine.Machine) func(*taskrt.Runtime) error {
 			prog := b.Build(m, cfg.Class)
 			return func(rt *taskrt.Runtime) (err error) {
 				res, err = rt.RunProgram(prog)
@@ -309,9 +317,8 @@ func RunOne(b workloads.Benchmark, k Kind, cfg Config, rep int) (RunSample, erro
 
 // buildMachine constructs the fresh simulated machine one repetition runs
 // on: topology defaulting, per-rep seed derivation, model overrides, and
-// disturbance injection — shared by every unit path (solo, co-run, and the
-// oracle's fixed points) so a given (cfg, rep) always means the same
-// machine.
+// disturbance injection — shared by every unit path (solo and co-run) so
+// a given (cfg, rep) always means the same machine.
 func buildMachine(cfg Config, rep int) *machine.Machine {
 	topoSpec := cfg.Topo
 	if topoSpec.Sockets == 0 {
@@ -357,17 +364,17 @@ type unitOut struct {
 	attr  *obs.AttrSnapshot
 }
 
-// runUnit is the one simulation path behind RunOne and RunMultiOne. It
-// builds repetition rep's machine, lets build lay the unit's programs out
-// on it, and runs them — through the function build returns — on a fresh
-// runtime under a new kind-k scheduler, with the metrics, task-trace and
+// runUnit is the one simulation path behind every unit. It builds
+// repetition rep's machine, lets build lay the unit's programs out on it,
+// and runs them — through the function build returns — on a fresh runtime
+// under a new scheduler from newSched, with the metrics, task-trace and
 // attribution hooks cfg asks for. Decisions are tagged with rep; errors
-// are labelled with name.
-func runUnit(name string, k Kind, cfg Config, rep int,
+// are labelled with name and the scheduler's name sched.
+func runUnit(name, sched string, newSched func() taskrt.Scheduler, cfg Config, rep int,
 	build func(*machine.Machine) func(*taskrt.Runtime) error) (unitOut, error) {
 	m := buildMachine(cfg, rep)
 	run := build(m)
-	rt := taskrt.New(m, NewScheduler(k), taskrt.DefaultCosts())
+	rt := taskrt.New(m, newSched(), taskrt.DefaultCosts())
 	var orun *obs.Run
 	if cfg.obsEnabled() {
 		orun = obs.NewRun(obs.Options{TraceDecisions: cfg.TraceDecisions, RingCap: cfg.DecisionCap})
@@ -381,7 +388,7 @@ func runUnit(name string, k Kind, cfg Config, rep int,
 		rt.EnableAttr()
 	}
 	if err := run(rt); err != nil {
-		return unitOut{}, fmt.Errorf("harness: %s/%s rep %d: %w", name, k, rep, err)
+		return unitOut{}, fmt.Errorf("harness: %s/%s rep %d: %w", name, sched, rep, err)
 	}
 	if orun != nil {
 		rt.FinalizeObs()
@@ -401,7 +408,7 @@ func runCells(name string, benches []workloads.Benchmark, cells []*Cell, cfg Con
 	for i, c := range cells {
 		names[i] = c.Bench + "/" + c.Kind.String()
 	}
-	return fanOut(cfg, name, names, func(ci, rep int) (*obs.Snapshot, *obs.AttrSnapshot, error) {
+	return fanOut(cfg, name, names, nil, func(ci, rep int) (*obs.Snapshot, *obs.AttrSnapshot, error) {
 		s, err := RunOne(benches[ci], cells[ci].Kind, cfg, rep)
 		cells[ci].Samples[rep] = s
 		return s.Obs, s.Attr, err

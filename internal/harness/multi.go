@@ -211,7 +211,7 @@ func RunMulti(kinds []Kind, cfg Config, progress func(k Kind)) (*MultiMatrix, er
 		mm.Cells[k] = cells[i]
 		names[i] = scenario + "/" + k.String()
 	}
-	err = fanOut(cfg, "multi:"+scenario, names, func(ci, rep int) (*obs.Snapshot, *obs.AttrSnapshot, error) {
+	err = fanOut(cfg, "multi:"+scenario, names, nil, func(ci, rep int) (*obs.Snapshot, *obs.AttrSnapshot, error) {
 		s, err := RunMultiOne(benches, cells[ci].Kind, cfg, rep)
 		cells[ci].Samples[rep] = s
 		return s.Obs, nil, err
@@ -228,9 +228,10 @@ func RunMulti(kinds []Kind, cfg Config, progress func(k Kind)) (*MultiMatrix, er
 // usual inputs.
 func RunMultiOne(benches []workloads.Benchmark, k Kind, cfg Config, rep int) (MultiSample, error) {
 	cfg = multiUnitConfig(cfg)
-	return cachedUnit(cfg, "", k, rep, func() (MultiSample, error) {
+	return cachedUnit(cfg, "", k.String(), rep, func() (MultiSample, error) {
 		var res *taskrt.WorkloadResult
-		out, err := runUnit(cfg.Multi.Scenario(), k, cfg, rep, func(m *machine.Machine) func(*taskrt.Runtime) error {
+		newSched := func() taskrt.Scheduler { return NewScheduler(k) }
+		out, err := runUnit(cfg.Multi.Scenario(), k.String(), newSched, cfg, rep, func(m *machine.Machine) func(*taskrt.Runtime) error {
 			w := workloads.CoRunWorkload(m, benches, cfg.Class, cfg.Multi.ArrivalSpreadSec)
 			return func(rt *taskrt.Runtime) (err error) {
 				res, err = rt.RunWorkload(w)

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"github.com/ilan-sched/ilan/internal/ilan"
+	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/stats"
 	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/topology"
@@ -41,29 +42,33 @@ func (r *OracleResult) Efficiency() float64 {
 	return r.Best.MeanSec / r.ILANSec
 }
 
-// runFixedOnce measures one repetition of a fixed (threads, policy)
-// configuration on the machine RunOne would run repetition rep on.
-func runFixedOnce(b workloads.Benchmark, threads int, full bool, cfg Config, rep int) (float64, error) {
-	m := buildMachine(cfg, rep)
+// fixedPoint is one oracle configuration as a named solo-unit scheduler:
+// ILAN pinned to a width and steal policy. The name keys its cache entries.
+func fixedPoint(threads int, full bool) (string, func() taskrt.Scheduler) {
 	opts := ilan.DefaultOptions()
 	opts.FixedThreads = threads
 	opts.FixedStealFull = full
-	rt := taskrt.New(m, ilan.MustNew(opts), taskrt.DefaultCosts())
-	res, err := rt.RunProgram(b.Build(m, cfg.Class))
-	if err != nil {
-		return 0, err
+	return fmt.Sprintf("ilan-fixed/%d/%s", threads, stealPolicy(full)),
+		func() taskrt.Scheduler { return ilan.MustNew(opts) }
+}
+
+// stealPolicy names a steal policy as the oracle report prints it.
+func stealPolicy(full bool) string {
+	if full {
+		return "full"
 	}
-	return float64(res.Elapsed), nil
+	return "strict"
 }
 
 // RunOracle evaluates every fixed width (in granularity steps of the NUMA
 // node size) under both steal policies for each benchmark, and compares the
 // best fixed configuration against ILAN's online search — quantifying both
 // the headroom of Algorithm 1's non-exhaustive exploration and its cost.
-// The (configuration, rep) units of each benchmark fan out across one
-// cfg.Jobs-bounded pool; points keep their enumeration order. progress, if
-// non-nil, is called from the calling goroutine as each configuration is
-// enqueued.
+// Every (benchmark, configuration) pair, ILAN and the baseline included, is
+// a cell of one campaign whose units are ordinary cached solo units fanned
+// across a cfg.Jobs-bounded pool; points keep their enumeration order.
+// progress, if non-nil, is called from the calling goroutine as each
+// configuration is enqueued.
 func RunOracle(benches []workloads.Benchmark, cfg Config,
 	progress func(bench string, threads int, full bool)) ([]OracleResult, error) {
 	topoSpec := cfg.Topo
@@ -72,57 +77,62 @@ func RunOracle(benches []workloads.Benchmark, cfg Config,
 	}
 	topo := topology.MustNew(topoSpec)
 	g := topo.NodeSize()
-	type fixedPoint struct {
-		threads int
-		full    bool
-	}
-	var pts []fixedPoint
+	var pts []OraclePoint
 	for threads := g; threads <= topo.NumCores(); threads += g {
 		for _, full := range []bool{false, true} {
-			pts = append(pts, fixedPoint{threads: threads, full: full})
+			pts = append(pts, OraclePoint{Threads: threads, StealFull: full})
 		}
 	}
-	var out []OracleResult
+	// Each benchmark's cells: its fixed points in order, then ILAN, then
+	// the baseline.
+	type cell struct {
+		bench    workloads.Benchmark
+		sched    string
+		newSched func() taskrt.Scheduler
+		times    []float64
+	}
+	perBench := len(pts) + 2
+	cells := make([]cell, 0, len(benches)*perBench)
+	names := make([]string, 0, cap(cells))
+	add := func(b workloads.Benchmark, sched string, newSched func() taskrt.Scheduler) {
+		cells = append(cells, cell{b, sched, newSched, make([]float64, cfg.Reps)})
+		names = append(names, b.Name+"/"+sched)
+	}
 	for _, b := range benches {
-		r := OracleResult{Bench: b.Name}
-		times := make([][]float64, len(pts))
-		for pi, p := range pts {
+		for _, p := range pts {
 			if progress != nil {
-				progress(b.Name, p.threads, p.full)
+				progress(b.Name, p.Threads, p.StealFull)
 			}
-			times[pi] = make([]float64, cfg.Reps)
+			sched, newSched := fixedPoint(p.Threads, p.StealFull)
+			add(b, sched, newSched)
 		}
-		err := ForEachCancel(cfg.Jobs, len(pts)*cfg.Reps, cfg.Cancel, func(i int) error {
-			pi, rep := i/cfg.Reps, i%cfg.Reps
-			sec, err := runFixedOnce(b, pts[pi].threads, pts[pi].full, cfg, rep)
-			if err != nil {
-				return err
-			}
-			times[pi][rep] = sec
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		for _, k := range []Kind{KindILAN, KindBaseline} {
+			add(b, k.String(), func() taskrt.Scheduler { return NewScheduler(k) })
 		}
-		for pi, pt := range pts {
-			p := OraclePoint{Threads: pt.threads, StealFull: pt.full,
-				MeanSec: stats.Mean(times[pi])}
+	}
+	err := fanOut(cfg, "oracle", names, nil, func(ci, rep int) (*obs.Snapshot, *obs.AttrSnapshot, error) {
+		c := &cells[ci]
+		s, err := runSolo(c.bench, c.sched, c.newSched, cfg, rep)
+		c.times[rep] = s.ElapsedSec
+		return s.Obs, s.Attr, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]OracleResult, len(benches))
+	for bi, b := range benches {
+		bc := cells[bi*perBench : (bi+1)*perBench]
+		r := OracleResult{Bench: b.Name}
+		for pi, p := range pts {
+			p.MeanSec = stats.Mean(bc[pi].times)
 			r.Points = append(r.Points, p)
 			if r.Best.MeanSec == 0 || p.MeanSec < r.Best.MeanSec {
 				r.Best = p
 			}
 		}
-		ilanCell, err := RunCell(b, KindILAN, cfg)
-		if err != nil {
-			return nil, err
-		}
-		baseCell, err := RunCell(b, KindBaseline, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.ILANSec = stats.Mean(ilanCell.Times())
-		r.BaselineSec = stats.Mean(baseCell.Times())
-		out = append(out, r)
+		r.ILANSec = stats.Mean(bc[len(pts)].times)
+		r.BaselineSec = stats.Mean(bc[len(pts)+1].times)
+		out[bi] = r
 	}
 	return out, nil
 }
@@ -134,12 +144,8 @@ func ReportOracle(w io.Writer, results []OracleResult) {
 	fmt.Fprintf(w, "%-8s %16s %12s %12s %12s %12s\n",
 		"bench", "oracle config", "oracle(s)", "ilan(s)", "baseline(s)", "efficiency")
 	for _, r := range results {
-		policy := "strict"
-		if r.Best.StealFull {
-			policy = "full"
-		}
 		fmt.Fprintf(w, "%-8s %9d/%-6s %12.4f %12.4f %12.4f %11.1f%%\n",
-			r.Bench, r.Best.Threads, policy, r.Best.MeanSec, r.ILANSec,
+			r.Bench, r.Best.Threads, stealPolicy(r.Best.StealFull), r.Best.MeanSec, r.ILANSec,
 			r.BaselineSec, 100*r.Efficiency())
 	}
 }

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/ilan-sched/ilan/internal/cellcache"
 	"github.com/ilan-sched/ilan/internal/workloads"
 )
 
@@ -88,5 +90,61 @@ func TestOracleFixedPointsRunOnTheUnitMachine(t *testing.T) {
 					name, p.Threads, p.StealFull, p.MeanSec)
 			}
 		}
+	}
+}
+
+// oracleUnits is the unit count of an oracle study on testConfig's
+// SmallTest machine: widths {4,8,12,16} x 2 policies, plus ILAN and the
+// baseline, per benchmark and rep.
+func oracleUnits(benches, reps int) int64 { return int64(benches * (8 + 2) * reps) }
+
+// TestRunOracleCachesFixedPoints: the fixed points are ordinary cached
+// units, so a second study on the same cache recomputes nothing and
+// reports the same result.
+func TestRunOracleCachesFixedPoints(t *testing.T) {
+	cc, err := cellcache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Cache = cc
+	benches := []workloads.Benchmark{mustBench(t, "Matmul"), mustBench(t, "CG")}
+	cold, err := RunOracle(benches, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cc.Stats(); st.Misses != oracleUnits(len(benches), cfg.Reps) {
+		t.Fatalf("cold run: %d misses, want one per unit (%d)", st.Misses, oracleUnits(len(benches), cfg.Reps))
+	}
+	before := cc.Stats()
+	warm, err := RunOracle(benches, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cc.Stats(); st.Misses != before.Misses || st.Hits-before.Hits != oracleUnits(len(benches), cfg.Reps) {
+		t.Fatalf("warm run: %d misses, %d hits; want 0 misses, %d hits",
+			st.Misses-before.Misses, st.Hits-before.Hits, oracleUnits(len(benches), cfg.Reps))
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatalf("warm oracle differs from cold:\n%+v\n%+v", warm, cold)
+	}
+}
+
+// TestRunOracleTracksEveryUnit: the whole study — every benchmark's fixed
+// points, ILAN and the baseline — is one tracked campaign, so a monitor
+// sees every unit under one Begin.
+func TestRunOracleTracksEveryUnit(t *testing.T) {
+	cfg := testConfig()
+	cfg.Jobs = 4
+	cfg.Track = NewTracker()
+	benches := []workloads.Benchmark{mustBench(t, "Matmul"), mustBench(t, "CG")}
+	if _, err := RunOracle(benches, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := cfg.Track.Snapshot()
+	want := oracleUnits(len(benches), cfg.Reps)
+	if s.UnitsTotal != want || s.UnitsDone != want || !s.Finished {
+		t.Fatalf("tracker: %d/%d units done (finished=%v), want %d/%d finished",
+			s.UnitsDone, s.UnitsTotal, s.Finished, want, want)
 	}
 }

@@ -68,22 +68,19 @@ func (c *Canceler) Cancel() {
 // Cancelled reports whether Cancel was called. Nil-safe.
 func (c *Canceler) Cancelled() bool { return c != nil && c.stop.Load() }
 
-// ForEach runs fn(0), ..., fn(n-1) across up to jobs worker goroutines
-// (jobs < 1 selects GOMAXPROCS) and returns the error of the
+// ForEachCancel runs fn(0), ..., fn(n-1) across up to jobs worker
+// goroutines (jobs < 1 selects GOMAXPROCS) and returns the error of the
 // lowest-numbered failing call, or nil. A panic inside fn is recovered and
 // reported as that call's error instead of killing the campaign. Calls are
 // dispatched in index order; after the first failure no new calls start,
 // but already-started ones run to completion, so the returned error is
 // deterministic whenever fn is deterministic per index.
-func ForEach(jobs, n int, fn func(i int) error) error {
-	return ForEachCancel(jobs, n, nil, fn)
-}
-
-// ForEachCancel is ForEach with graceful interruption: once cancel fires,
-// no new indices are dispatched, already-started calls run to completion,
-// and the result is ErrInterrupted — unless some call also failed, in
-// which case the lowest-numbered call error wins (it is the more
-// informative outcome, and it is what a sequential run would report).
+//
+// Once cancel fires (a nil cancel never does), no new indices are
+// dispatched, already-started calls run to completion, and the result is
+// ErrInterrupted — unless some call also failed, in which case the
+// lowest-numbered call error wins (it is the more informative outcome, and
+// it is what a sequential run would report).
 func ForEachCancel(jobs, n int, cancel *Canceler, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -155,19 +152,30 @@ func ForEachCancel(jobs, n int, cancel *Canceler, fn func(i int) error) error {
 // fanOut runs every repetition of the named cells across cfg.Jobs workers
 // as one tracked campaign (Track.Begin, ForEachCancel, Track.Finish). Unit
 // i is repetition i%cfg.Reps of cell i/cfg.Reps; run executes it, stores
-// its sample, and returns what the tracker records for it.
-func fanOut(cfg Config, label string, cells []string,
+// its sample, and returns what the tracker records for it. cellDone, if
+// non-nil, is called once per cell after the tracker has counted the
+// cell's last successful rep; calls may come from pool workers but are
+// serialized, so it needs no locking.
+func fanOut(cfg Config, label string, cells []string, cellDone func(cell int),
 	run func(cell, rep int) (*obs.Snapshot, *obs.AttrSnapshot, error)) error {
 	decls := make([]CellDecl, len(cells))
+	left := make([]atomic.Int64, len(cells))
 	for i, name := range cells {
 		decls[i] = CellDecl{Name: name, Units: cfg.Reps}
+		left[i].Store(int64(cfg.Reps))
 	}
+	var doneMu sync.Mutex
 	cfg.Track.Begin(label, decls)
 	cfg.Track.AttachCache(cfg.Cache)
 	err := ForEachCancel(cfg.Jobs, len(cells)*cfg.Reps, cfg.Cancel, func(i int) error {
 		cell, rep := i/cfg.Reps, i%cfg.Reps
 		snap, attr, err := run(cell, rep)
 		cfg.Track.UnitDone(cell, rep, snap, attr, err)
+		if err == nil && cellDone != nil && left[cell].Add(-1) == 0 {
+			doneMu.Lock()
+			cellDone(cell)
+			doneMu.Unlock()
+		}
 		return err
 	})
 	cfg.Track.Finish(err)

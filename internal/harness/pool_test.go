@@ -25,7 +25,7 @@ func TestForEachRunsAllIndices(t *testing.T) {
 	for _, jobs := range []int{1, 3, 8, 0} {
 		var seen sync.Map
 		var count atomic.Int64
-		if err := ForEach(jobs, 100, func(i int) error {
+		if err := ForEachCancel(jobs, 100, nil, func(i int) error {
 			if _, dup := seen.LoadOrStore(i, true); dup {
 				return fmt.Errorf("index %d ran twice", i)
 			}
@@ -44,7 +44,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 	t.Parallel()
 	boom3 := errors.New("boom 3")
 	for _, jobs := range []int{1, 2, 8} {
-		err := ForEach(jobs, 20, func(i int) error {
+		err := ForEachCancel(jobs, 20, nil, func(i int) error {
 			switch i {
 			case 3:
 				return boom3
@@ -62,7 +62,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 func TestForEachStopsDispatchAfterError(t *testing.T) {
 	t.Parallel()
 	var ran atomic.Int64
-	err := ForEach(2, 1000, func(i int) error {
+	err := ForEachCancel(2, 1000, nil, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return errors.New("early failure")
@@ -81,7 +81,7 @@ func TestForEachRecoversPanics(t *testing.T) {
 	t.Parallel()
 	for _, jobs := range []int{1, 4} {
 		var completed atomic.Int64
-		err := ForEach(jobs, 10, func(i int) error {
+		err := ForEachCancel(jobs, 10, nil, func(i int) error {
 			if i == 2 {
 				panic("kaboom")
 			}
@@ -101,7 +101,7 @@ func TestForEachRecoversPanics(t *testing.T) {
 func TestForEachZeroAndNegativeN(t *testing.T) {
 	t.Parallel()
 	for _, n := range []int{0, -5} {
-		if err := ForEach(4, n, func(int) error { return errors.New("never") }); err != nil {
+		if err := ForEachCancel(4, n, nil, func(int) error { return errors.New("never") }); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // ever making a worker wait. The contract mirrors the observability
 // layer's overhead rules:
 //
-//   - Nil-safe. A nil *Tracker discards every call, so Run/Sweep/RunCell
+//   - Nil-safe. A nil *Tracker discards every call, so the campaigns
 //     carry no "monitoring enabled" branches beyond one nil check per rep.
 //   - The progress counters (units done, per-cell rep counts) are plain
 //     atomics: Snapshot reads them without taking a lock, so a scrape can
@@ -77,9 +77,9 @@ type CellDecl struct {
 	Units int
 }
 
-// NewTracker returns an idle tracker. Attach it via Config.Track; the
-// campaign entry point (Run, Sweep, RunCell) calls Begin with its cell
-// layout before dispatching work.
+// NewTracker returns an idle tracker. Attach it via Config.Track; every
+// campaign entry point (Run, RunCell, RunMulti, RunOracle, Sweep) calls
+// Begin with its cell layout, through fanOut, before dispatching work.
 func NewTracker() *Tracker { return &Tracker{} }
 
 // Begin (re)initializes the tracker for a campaign. Counters reset; event

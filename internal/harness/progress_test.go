@@ -276,7 +276,7 @@ func TestTrackerConcurrentUnitDoneFinishBounded(t *testing.T) {
 // count returns to its pre-campaign level.
 func TestForEachPanicLeaksNoWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
-	err := ForEach(8, 64, func(i int) error {
+	err := ForEachCancel(8, 64, nil, func(i int) error {
 		if i%5 == 3 {
 			panic(fmt.Sprintf("injected panic at %d", i))
 		}

@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/stats"
@@ -74,13 +72,14 @@ func applyParam(cfg Config, param SweepParam, v float64) (Config, error) {
 
 // Sweep runs a benchmark under the baseline and ILAN across values of one
 // machine-model parameter — the sensitivity curves behind the calibration
-// choices in DESIGN.md §5. The (value, scheduler, rep) units fan out
-// across one cfg.Jobs-bounded pool; points are assembled in value order,
-// so the curve is identical to a sequential run. progress, if non-nil, is
-// called as the last unit of each value completes — completion order, the
-// order a user watching the sweep actually experiences, not enqueue order
-// (which announced every point before any work had run). Calls may come
-// from pool workers but are serialized, so the callback needs no locking.
+// choices in DESIGN.md §5. The (value, scheduler) cells fan out as one
+// campaign across a cfg.Jobs-bounded pool; points are assembled in value
+// order, so the curve is identical to a sequential run. progress, if
+// non-nil, is called as the last unit of each value completes — completion
+// order, the order a user watching the sweep actually experiences, not
+// enqueue order (which announced every point before any work had run).
+// Calls may come from pool workers but are serialized, so the callback
+// needs no locking.
 func Sweep(bench workloads.Benchmark, param SweepParam, values []float64,
 	cfg Config, progress func(v float64)) ([]SweepPoint, error) {
 	if len(values) == 0 {
@@ -88,56 +87,47 @@ func Sweep(bench workloads.Benchmark, param SweepParam, values []float64,
 	}
 	kinds := [2]Kind{KindBaseline, KindILAN}
 	cfgs := make([]Config, len(values))
-	cells := make([][2]*Cell, len(values))
-	decls := make([]CellDecl, 0, len(values)*len(kinds))
+	cells := make([]*Cell, 0, len(values)*len(kinds))
+	names := make([]string, 0, len(values)*len(kinds))
 	for vi, v := range values {
 		c, err := applyParam(cfg, param, v)
 		if err != nil {
 			return nil, err
 		}
 		cfgs[vi] = c
-		for ki, k := range kinds {
-			cells[vi][ki] = &Cell{Bench: bench.Name, Kind: k,
-				Samples: make([]RunSample, cfg.Reps)}
-			decls = append(decls, CellDecl{
-				Name:  fmt.Sprintf("%s/%s %s=%g", bench.Name, k, param, v),
-				Units: cfg.Reps,
-			})
+		for _, k := range kinds {
+			cells = append(cells, &Cell{Bench: bench.Name, Kind: k,
+				Samples: make([]RunSample, cfg.Reps)})
+			names = append(names, fmt.Sprintf("%s/%s %s=%g", bench.Name, k, param, v))
 		}
 	}
-	cfg.Track.Begin(fmt.Sprintf("sweep %s %s", bench.Name, param), decls)
-	cfg.Track.AttachCache(cfg.Cache)
-	perValue := len(kinds) * cfg.Reps
-	// remaining counts each value's outstanding units so the progress
-	// callback fires exactly once per value, when its last unit lands.
-	remaining := make([]int64, len(values))
-	for vi := range remaining {
-		remaining[vi] = int64(perValue)
+	// pending counts each value's unfinished cells so progress fires
+	// exactly once per value, when its last cell lands.
+	var cellDone func(int)
+	if progress != nil {
+		pending := make([]int, len(values))
+		for vi := range pending {
+			pending[vi] = len(kinds)
+		}
+		cellDone = func(ci int) {
+			vi := ci / len(kinds)
+			if pending[vi]--; pending[vi] == 0 {
+				progress(values[vi])
+			}
+		}
 	}
-	var progressMu sync.Mutex
-	err := ForEachCancel(cfg.Jobs, len(values)*perValue, cfg.Cancel, func(i int) error {
-		vi, rest := i/perValue, i%perValue
-		ki, rep := rest/cfg.Reps, rest%cfg.Reps
-		s, err := RunOne(bench, kinds[ki], cfgs[vi], rep)
-		cfg.Track.UnitDone(vi*len(kinds)+ki, rep, s.Obs, s.Attr, err)
-		if err != nil {
-			return err
-		}
-		cells[vi][ki].Samples[rep] = s
-		if atomic.AddInt64(&remaining[vi], -1) == 0 && progress != nil {
-			progressMu.Lock()
-			progress(values[vi])
-			progressMu.Unlock()
-		}
-		return nil
-	})
-	cfg.Track.Finish(err)
+	err := fanOut(cfg, fmt.Sprintf("sweep %s %s", bench.Name, param), names, cellDone,
+		func(ci, rep int) (*obs.Snapshot, *obs.AttrSnapshot, error) {
+			s, err := RunOne(bench, cells[ci].Kind, cfgs[ci/len(kinds)], rep)
+			cells[ci].Samples[rep] = s
+			return s.Obs, s.Attr, err
+		})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]SweepPoint, 0, len(values))
 	for vi, v := range values {
-		base, il := cells[vi][0], cells[vi][1]
+		base, il := cells[2*vi], cells[2*vi+1]
 		bm, im := stats.Mean(base.Times()), stats.Mean(il.Times())
 		out = append(out, SweepPoint{
 			Value:       v,
