@@ -71,7 +71,6 @@ func main() {
 	spread := flag.Float64("spread", 0, "spread co-run program arrivals over this many seconds (-exp multi)")
 	param := flag.String("param", "beta", "machine-model parameter to sweep (-exp sweep): alpha|beta|controllerbw|corebw|linkbw")
 	valuesArg := flag.String("values", "0,0.0003,0.001,0.003", "comma-separated parameter values (-exp sweep)")
-	noCoalesce := flag.Bool("no-coalesce", false, "disable instant-coalesced refresh in the fluid model (debug; outputs are byte-identical either way)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 	memprofile := flag.String("memprofile", "", "write a heap-allocation profile to this file at exit")
 	cacheOn := flag.Bool("cache", false, "memoize per-unit results in a content-addressed on-disk cache (see -cache-dir)")
@@ -150,7 +149,6 @@ func main() {
 	cfg.Jobs = *jobs
 	cfg.Metrics = *metrics
 	cfg.TraceDecisions = *traceDecisions
-	cfg.NoCoalesce = *noCoalesce
 	cfg.Attr = *attrOut != ""
 	if *perfetto != "" {
 		// The exporter needs the task trace plus the decision trace; turn

@@ -68,7 +68,6 @@ func TestCacheKeyPerturbation(t *testing.T) {
 	mustNotChange := map[string]func(*keyUnit){
 		"jobs":                func(u *keyUnit) { u.cfg.Jobs = 8 },
 		"reps":                func(u *keyUnit) { u.cfg.Reps = 30 },
-		"no-coalesce":         func(u *keyUnit) { u.cfg.NoCoalesce = true },
 		"tracker":             func(u *keyUnit) { u.cfg.Track = NewTracker() },
 		"canceler":            func(u *keyUnit) { u.cfg.Cancel = NewCanceler() },
 		"trace-tasks (rep 1)": func(u *keyUnit) { u.rep = 1; u.cfg.TraceTasks = true },
@@ -223,7 +222,7 @@ func TestCacheKeyClassifiesEveryConfigField(t *testing.T) {
 		"Multi": true,
 	}
 	normalizedOut := map[string]bool{
-		"Reps": true, "Jobs": true, "NoCoalesce": true, "Track": true,
+		"Reps": true, "Jobs": true, "Track": true,
 		"Cache": true, "Cancel": true,
 	}
 	typ := reflect.TypeOf(Config{})

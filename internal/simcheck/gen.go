@@ -88,10 +88,10 @@ type Scenario struct {
 	Spec  topology.Spec
 	Seed  uint64
 	Noise bool
-	// NoCoalesce runs the machine with instant-coalesced refresh disabled,
-	// so the fuzzers exercise both refresh paths against the same oracles
-	// (the two must be byte-identical; a divergence is a coalescing bug).
-	NoCoalesce bool
+	// Disturb, when non-nil, injects a sustained external interferer through
+	// machine.DisturbNode before the run. Its fields are passed as given
+	// (the harness's zero-value defaults do not apply).
+	Disturb *harness.Disturb
 	// Programs > 1 runs that many identically-shaped program copies as a
 	// concurrent workload through the admission queue; <= 1 is the solo
 	// RunProgram path.
@@ -147,11 +147,10 @@ const numSchedKinds = int(harness.KindShepherd) + 1
 // GenScenario draws a full scenario.
 func GenScenario(src Source, seed uint64) Scenario {
 	sc := Scenario{
-		Spec:       GenTopoSpec(src),
-		Seed:       seed,
-		Noise:      src.Intn(2) == 0,
-		NoCoalesce: src.Intn(4) == 0,
-		Steps:      1 + src.Intn(3),
+		Spec:  GenTopoSpec(src),
+		Seed:  seed,
+		Noise: src.Intn(2) == 0,
+		Steps: 1 + src.Intn(3),
 	}
 	nLoops := 1 + src.Intn(3)
 	for i := 0; i < nLoops; i++ {
@@ -188,14 +187,23 @@ func GenScenario(src Source, seed uint64) Scenario {
 		sc.Sched = SchedGen{Kind: -1, PlanSeed: seed ^ 0xc0ffee}
 	}
 
-	// Roughly a third of scenarios co-run two program copies so the
+	// Roughly a third of scenarios co-run 2–8 program copies so the
 	// invariants (plan disjointness, per-exec conservation, cross-exec
 	// time monotonicity) are exercised with live co-runners; half of
 	// those stagger the arrivals.
 	if src.Intn(3) == 0 {
-		sc.Programs = 2
+		sc.Programs = 2 + src.Intn(7)
 		if src.Intn(2) == 0 {
 			sc.ArrivalSpread = 1e-4 * src.Float64()
+		}
+	}
+	// A quarter of scenarios run with one node disturbed: slower cores
+	// and external load on its controller.
+	if src.Intn(4) == 0 {
+		sc.Disturb = &harness.Disturb{
+			Node:     src.Intn(sc.Spec.Sockets * sc.Spec.NodesPerSocket),
+			Slowdown: 0.5 + 0.5*src.Float64(),
+			MemLoad:  8 * src.Float64(),
 		}
 	}
 	return sc
@@ -244,9 +252,12 @@ func (sc Scenario) SchedName() string {
 // String renders the scenario compactly for failure reports.
 func (sc Scenario) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scenario{%dx%dx%d ccd=%d seed=%#x noise=%v coalesce=%v sched=%s steps=%d",
+	fmt.Fprintf(&b, "scenario{%dx%dx%d ccd=%d seed=%#x noise=%v sched=%s steps=%d",
 		sc.Spec.Sockets, sc.Spec.NodesPerSocket, sc.Spec.CoresPerNode, sc.Spec.CoresPerCCD,
-		sc.Seed, sc.Noise, !sc.NoCoalesce, sc.SchedName(), sc.Steps)
+		sc.Seed, sc.Noise, sc.SchedName(), sc.Steps)
+	if d := sc.Disturb; d != nil {
+		fmt.Fprintf(&b, " disturb=node%d/slow=%.3g/load=%.3g", d.Node, d.Slowdown, d.MemLoad)
+	}
 	if sc.Programs > 1 {
 		fmt.Fprintf(&b, " progs=%d spread=%.3g", sc.Programs, sc.ArrivalSpread)
 	}
@@ -405,12 +416,14 @@ func (sc Scenario) runSeed(seed uint64) Result {
 		noise = machine.DefaultNoise()
 	}
 	m := machine.New(machine.Config{
-		Topo:       topology.MustNew(sc.Spec),
-		Seed:       seed,
-		Noise:      noise,
-		Alpha:      -1,
-		NoCoalesce: sc.NoCoalesce,
+		Topo:  topology.MustNew(sc.Spec),
+		Seed:  seed,
+		Noise: noise,
+		Alpha: -1,
 	})
+	if d := sc.Disturb; d != nil {
+		m.DisturbNode(d.Node, d.Slowdown, d.MemLoad)
+	}
 	m.Engine().SetLimit(eventLimit)
 	rt := taskrt.New(m, sc.scheduler(), taskrt.DefaultCosts())
 	ck := Attach(rt)

@@ -1,7 +1,9 @@
 package simcheck
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ilan-sched/ilan/internal/harness"
@@ -88,6 +90,38 @@ func TestMetamorphicRandomSweep(t *testing.T) {
 		if err := CheckSeedIndependence(sc); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
+	}
+}
+
+// TestGenScenarioDimensions pins the generator's co-run and disturbance
+// dimensions: co-runs span 2–8 programs, some scenarios disturb a valid
+// node, and failure reports name the disturbance.
+func TestGenScenarioDimensions(t *testing.T) {
+	rng := sim.NewRNG(15)
+	progs := map[int]bool{}
+	disturbed := 0
+	for i := 0; i < 400; i++ {
+		sc := GenScenario(RNGSource(rng), uint64(i)+1)
+		if sc.Programs > 1 {
+			progs[sc.Programs] = true
+		}
+		if d := sc.Disturb; d != nil {
+			disturbed++
+			if d.Node < 0 || d.Node >= sc.Spec.Sockets*sc.Spec.NodesPerSocket {
+				t.Fatalf("disturbed node %d outside %s", d.Node, sc)
+			}
+			if !strings.Contains(sc.String(), fmt.Sprintf("disturb=node%d", d.Node)) {
+				t.Fatalf("scenario string omits the disturbance: %s", sc)
+			}
+		}
+	}
+	for n := 2; n <= 8; n++ {
+		if !progs[n] {
+			t.Errorf("no %d-program co-run in 400 scenarios (saw %v)", n, progs)
+		}
+	}
+	if len(progs) != 7 || disturbed == 0 {
+		t.Errorf("co-run sizes %v, %d disturbed scenarios", progs, disturbed)
 	}
 }
 

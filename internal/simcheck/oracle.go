@@ -3,6 +3,7 @@ package simcheck
 import (
 	"fmt"
 
+	"github.com/ilan-sched/ilan/internal/harness"
 	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/memsys"
 	"github.com/ilan-sched/ilan/internal/sim"
@@ -69,7 +70,7 @@ func CheckSeedIndependence(sc Scenario) error {
 // stealFree reports whether the scenario's scheduler provably never
 // consumes steal-path randomness (static work-sharing: StealOff plans).
 func stealFree(sc Scenario) bool {
-	return sc.Sched.Kind == 3 // harness.KindWorkSharing
+	return sc.Sched.Kind == int(harness.KindWorkSharing)
 }
 
 // --- node-renumbering oracle ---
