@@ -22,7 +22,7 @@ test:
 # Hot-path benchmarks (event engine, dispatch/steal loop, full campaign)
 # with allocation stats; the JSON snapshot records the perf trajectory.
 bench:
-	$(GO) test -bench='BenchmarkEngineEvents|BenchmarkDispatchSteal|BenchmarkFullCampaignCG|BenchmarkRefreshStorm' \
+	$(GO) test -bench='BenchmarkEngineEvents|BenchmarkDispatchSteal|BenchmarkFullCampaignCG|BenchmarkRefreshStorm|BenchmarkMachineExec|BenchmarkResolver' \
 		-benchmem -run=NONE . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_hotpath.json
 
 # Full benchmark sweep (figures, ablations, micro-benches).
@@ -46,6 +46,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzScenario -fuzztime=$(FUZZTIME) ./internal/simcheck
 	$(GO) test -fuzz=FuzzRenumbering -fuzztime=$(FUZZTIME) ./internal/simcheck
 	$(GO) test -fuzz=FuzzSpecValidate -fuzztime=$(FUZZTIME) ./internal/topology
+	$(GO) test -fuzz=FuzzFluidReference -fuzztime=$(FUZZTIME) ./internal/machine
+	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/looplang
 	$(GO) run ./cmd/ilanfuzz -runs 500
 
 # Reproduce every figure and table at paper scale (3 min 45 s wall, 7.3 CPU

@@ -32,12 +32,7 @@ import (
 // benchMachine builds the 64-core paper platform with noise off, so bench
 // metrics are stable across -count runs.
 func benchMachine(seed uint64) *machine.Machine {
-	return machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.Zen4Vera()),
-		Seed:  seed,
-		Noise: machine.NoiseConfig{Enabled: false},
-		Alpha: -1,
-	})
+	return machine.Build(machine.Spec{Topo: topology.Zen4Vera()}, seed)
 }
 
 // runBench executes one benchmark under one scheduler and returns the
@@ -117,12 +112,7 @@ func BenchmarkFig4(b *testing.B) {
 // 6 repetitions per iteration at bench scale; the paper uses 30).
 func BenchmarkTable1(b *testing.B) {
 	run := func(w workloads.Benchmark, mk func() taskrt.Scheduler, rep uint64) float64 {
-		m := machine.New(machine.Config{
-			Topo:  topology.MustNew(topology.Zen4Vera()),
-			Seed:  rep,
-			Noise: machine.DefaultNoise(),
-			Alpha: -1,
-		})
+		m := machine.Build(machine.Spec{Topo: topology.Zen4Vera(), Noise: machine.DefaultNoise()}, rep)
 		rt := taskrt.New(m, mk(), taskrt.DefaultCosts())
 		res, err := rt.RunProgram(w.Build(m, workloads.ClassTest))
 		if err != nil {
@@ -194,16 +184,13 @@ func BenchmarkAblationContention(b *testing.B) {
 	w, _ := workloads.ByName("CG")
 	for _, tc := range []struct {
 		name string
-		beta float64
-	}{{"quadratic-on", 0}, {"quadratic-off", -1}} {
+		beta *float64
+	}{{"quadratic-on", nil}, {"quadratic-off", new(float64)}} {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			var threads float64
 			for i := 0; i < b.N; i++ {
-				m := machine.New(machine.Config{
-					Topo: topology.MustNew(topology.Zen4Vera()), Seed: uint64(i),
-					Noise: machine.NoiseConfig{Enabled: false}, Alpha: -1, Beta: tc.beta,
-				})
+				m := machine.Build(machine.Spec{Topo: topology.Zen4Vera(), Beta: tc.beta}, uint64(i))
 				rt := taskrt.New(m, newILAN(), taskrt.DefaultCosts())
 				res, err := rt.RunProgram(w.Build(m, workloads.ClassTest))
 				if err != nil {
@@ -549,8 +536,7 @@ func BenchmarkCampaignJobs(b *testing.B) {
 			Reps:  4,
 			Seed:  7,
 			Jobs:  jobs,
-			Noise: machine.NoiseConfig{Enabled: false},
-			Topo:  topology.SmallTest(),
+			Spec:  machine.Spec{Topo: topology.SmallTest()},
 		}
 		benches := []workloads.Benchmark{}
 		for _, name := range []string{"CG", "FT"} {

@@ -180,7 +180,7 @@ func main() {
 	}
 	cfg.Topo = spec
 	if *disturb >= 0 {
-		cfg.Disturb = &harness.Disturb{Node: *disturb}
+		cfg.Disturb = &machine.Disturb{Node: *disturb}
 	}
 	cls, err := workloads.ParseClass(*class)
 	if err != nil {

@@ -31,7 +31,6 @@ func main() {
 	flag.Parse()
 
 	rng := sim.NewRNG(*seed)
-	src := simcheck.RNGSource(rng)
 	var failures, loops, tasks, steals, renumbers int
 
 	fail := func(r int, err error) {
@@ -40,7 +39,7 @@ func main() {
 	}
 
 	for r := 0; r < *runs; r++ {
-		sc := simcheck.GenScenario(src, *seed+uint64(r)*0x9e3779b97f4a7c15)
+		sc := simcheck.GenScenario(rng, *seed+uint64(r)*0x9e3779b97f4a7c15)
 		if *verbose {
 			fmt.Printf("run %d: %s\n", r, sc)
 		}
@@ -62,8 +61,8 @@ func main() {
 			fail(r, err)
 		}
 		if *renumberEvery > 0 && r%*renumberEvery == 0 {
-			rs := simcheck.GenRenumberScenario(src)
-			pi := simcheck.GenNodePermutation(src, rs.Spec)
+			rs := simcheck.GenRenumberScenario(rng)
+			pi := simcheck.GenNodePermutation(rng, rs.Spec)
 			if err := simcheck.CheckRenumbering(rs, pi); err != nil {
 				fail(r, err)
 			}

@@ -89,13 +89,13 @@ func main() {
 		kinds = []harness.Kind{k}
 	}
 
-	cfg := harness.Config{Reps: 1, Seed: *seed, Topo: topology.Zen4Vera(), TraceDecisions: *verbose}
+	cfg := harness.Config{Reps: 1, Seed: *seed, TraceDecisions: *verbose}
 	if *noise {
 		cfg.Noise = machine.DefaultNoise()
 	}
 	// Checking the document against the machine's node count here means
 	// Build below cannot fail: a bad document exits before any unit runs.
-	if err := doc.Validate(topology.MustNew(cfg.Topo).NumNodes()); err != nil {
+	if err := doc.Validate(topology.MustNew(cfg.TopoSpec()).NumNodes()); err != nil {
 		fmt.Fprintln(os.Stderr, "loopconv:", err)
 		os.Exit(1)
 	}

@@ -53,14 +53,14 @@ func main() {
 
 	// One traced repetition through the harness unit: repetition 0 is the
 	// one that records the task trace.
-	cfg := harness.Config{Class: cls, Reps: 1, Seed: *seed, Topo: topology.Zen4Vera(), TraceTasks: true}
+	cfg := harness.Config{Class: cls, Reps: 1, Seed: *seed, TraceTasks: true}
 	sample, err := harness.RunOne(b, kind, cfg, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracedump:", err)
 		os.Exit(1)
 	}
 	trace := sample.Trace
-	topo := topology.MustNew(cfg.Topo)
+	topo := topology.MustNew(cfg.TopoSpec())
 
 	fmt.Printf("%s under %s: %.4f virtual seconds\n", b.Name, kind, sample.ElapsedSec)
 	fmt.Println(trace.Summary(topo.NumNodes()))

@@ -122,16 +122,7 @@ type MachineConfig struct {
 
 // NewMachine builds a simulated machine.
 func NewMachine(cfg MachineConfig) *Machine {
-	spec := cfg.Topology
-	if spec.Sockets == 0 {
-		spec = topology.Zen4Vera()
-	}
-	return machine.New(machine.Config{
-		Topo:  topology.MustNew(spec),
-		Seed:  cfg.Seed,
-		Noise: cfg.Noise,
-		Alpha: -1,
-	})
+	return machine.Build(machine.Spec{Topo: cfg.Topology, Noise: cfg.Noise}, cfg.Seed)
 }
 
 // DefaultNoise returns the noise calibration used by the experiments.

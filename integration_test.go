@@ -41,12 +41,7 @@ func allSchedulers() map[string]func() taskrt.Scheduler {
 func TestEverySchedulerExecutesEveryIterationExactlyOnce(t *testing.T) {
 	for name, mk := range allSchedulers() {
 		t.Run(name, func(t *testing.T) {
-			m := machine.New(machine.Config{
-				Topo:  topology.MustNew(topology.Zen4Vera()),
-				Seed:  3,
-				Noise: machine.DefaultNoise(),
-				Alpha: -1,
-			})
+			m := machine.Build(machine.Spec{Topo: topology.Zen4Vera(), Noise: machine.DefaultNoise()}, 3)
 			const iters, steps = 512, 6
 			counts := make([]int, iters)
 			barrierGen := 0
@@ -101,12 +96,7 @@ func TestEverySchedulerExecutesEveryIterationExactlyOnce(t *testing.T) {
 // remote steal may only occur in an execution whose configuration used
 // steal_policy = full.
 func TestStrictPolicyNeverCrossesNodes(t *testing.T) {
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.Zen4Vera()),
-		Seed:  5,
-		Noise: machine.NoiseConfig{},
-		Alpha: -1,
-	})
+	m := machine.Build(machine.Spec{Topo: topology.Zen4Vera()}, 5)
 	s := ilansched.MustNew(ilansched.DefaultOptions())
 	rt := taskrt.New(m, s, taskrt.DefaultCosts())
 	trace := rt.EnableTracing()
@@ -136,12 +126,7 @@ func TestSchedulersAgreeOnWorkDone(t *testing.T) {
 	var want uint64
 	first := true
 	for name, mk := range allSchedulers() {
-		m := machine.New(machine.Config{
-			Topo:  topology.MustNew(topology.Zen4Vera()),
-			Seed:  9,
-			Noise: machine.NoiseConfig{},
-			Alpha: -1,
-		})
+		m := machine.Build(machine.Spec{Topo: topology.Zen4Vera()}, 9)
 		b, _ := workloads.ByName("FT")
 		rt := taskrt.New(m, mk(), taskrt.DefaultCosts())
 		res, err := rt.RunProgram(b.Build(m, workloads.ClassTest))
@@ -194,12 +179,7 @@ func TestFacadeEndToEndWithEnergyAndCounters(t *testing.T) {
 func TestDeterminismAcrossFullStack(t *testing.T) {
 	for name, mk := range allSchedulers() {
 		run := func() float64 {
-			m := machine.New(machine.Config{
-				Topo:  topology.MustNew(topology.Zen4Vera()),
-				Seed:  1234,
-				Noise: machine.DefaultNoise(),
-				Alpha: -1,
-			})
+			m := machine.Build(machine.Spec{Topo: topology.Zen4Vera(), Noise: machine.DefaultNoise()}, 1234)
 			b, _ := workloads.ByName("SP")
 			rt := taskrt.New(m, mk(), taskrt.DefaultCosts())
 			res, err := rt.RunProgram(b.Build(m, workloads.ClassTest))
@@ -218,12 +198,7 @@ func TestDeterminismAcrossFullStack(t *testing.T) {
 // platform — on a 4-socket, 128-core machine a gather-saturated benchmark
 // still molds and a compute benchmark stays wide.
 func TestILANOnLargerTopology(t *testing.T) {
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.QuadSocket()),
-		Seed:  6,
-		Noise: machine.NoiseConfig{},
-		Alpha: -1,
-	})
+	m := machine.Build(machine.Spec{Topo: topology.QuadSocket()}, 6)
 	b, _ := workloads.ByName("SP")
 	s := ilansched.MustNew(ilansched.DefaultOptions())
 	rt := taskrt.New(m, s, taskrt.DefaultCosts())
@@ -237,12 +212,7 @@ func TestILANOnLargerTopology(t *testing.T) {
 		t.Fatalf("SP not molded on 128-core machine: %g threads", res.WeightedAvgThreads)
 	}
 
-	m2 := machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.QuadSocket()),
-		Seed:  6,
-		Noise: machine.NoiseConfig{},
-		Alpha: -1,
-	})
+	m2 := machine.Build(machine.Spec{Topo: topology.QuadSocket()}, 6)
 	b2, _ := workloads.ByName("Matmul")
 	s2 := ilansched.MustNew(ilansched.DefaultOptions())
 	rt2 := taskrt.New(m2, s2, taskrt.DefaultCosts())

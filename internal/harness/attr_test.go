@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/taskrt"
 )
 
@@ -145,7 +146,7 @@ func TestAttrLoopMeanMatchesObservedElapsed(t *testing.T) {
 	cfg := testConfig()
 	b := mustBench(t, "CG")
 	for _, k := range []Kind{KindBaseline, KindILANNoMold, KindILAN} {
-		m := buildMachine(cfg, 0)
+		m := machine.Build(cfg.Spec, cfg.Seed)
 		prog := b.Build(m, cfg.Class)
 		rec := &elapsedRecorder{Scheduler: NewScheduler(k), sums: map[int]float64{}, count: map[int]int{}}
 		rt := taskrt.New(m, rec, taskrt.DefaultCosts())

@@ -64,7 +64,7 @@ type cacheKeyInputs struct {
 	Seed         uint64              `json:"seed"`
 	Noise        machine.NoiseConfig `json:"noise"`
 	Topo         topology.Spec       `json:"topo"`
-	Disturb      *Disturb            `json:"disturb"`
+	Disturb      *machine.Disturb    `json:"disturb"`
 	ControllerBW float64             `json:"controllerBW"`
 	LinkBW       float64             `json:"linkBW"`
 	CoreStreamBW float64             `json:"coreStreamBW"`
@@ -92,10 +92,6 @@ type cacheKeyInputs struct {
 // TraceTasks only affects repetition 0 (harness only records rep 0's
 // trace), so it is normalized to false for other reps.
 func cacheKey(bench, sched string, cfg Config, rep int) string {
-	topoSpec := cfg.Topo
-	if topoSpec.Sockets == 0 {
-		topoSpec = topology.Zen4Vera()
-	}
 	in := cacheKeyInputs{
 		Fingerprint:  simFingerprint,
 		EntryVersion: cellcache.Version,
@@ -105,7 +101,7 @@ func cacheKey(bench, sched string, cfg Config, rep int) string {
 		Rep:          rep,
 		Seed:         cfg.Seed,
 		Noise:        cfg.Noise,
-		Topo:         topoSpec,
+		Topo:         cfg.TopoSpec(),
 		Disturb:      cfg.Disturb,
 		ControllerBW: cfg.ControllerBW,
 		LinkBW:       cfg.LinkBW,

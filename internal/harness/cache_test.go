@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/ilan-sched/ilan/internal/cellcache"
+	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/topology"
 	"github.com/ilan-sched/ilan/internal/workloads"
 )
@@ -53,8 +54,8 @@ func TestCacheKeyPerturbation(t *testing.T) {
 		"class":               func(u *keyUnit) { u.cfg.Class = workloads.ClassPaper },
 		"noise":               func(u *keyUnit) { u.cfg.Noise.Enabled = true },
 		"topo":                func(u *keyUnit) { u.cfg.Topo = topology.Zen4Vera() },
-		"disturb":             func(u *keyUnit) { u.cfg.Disturb = &Disturb{Node: 1} },
-		"disturb-node":        func(u *keyUnit) { u.cfg.Disturb = &Disturb{Node: 2} },
+		"disturb":             func(u *keyUnit) { u.cfg.Disturb = &machine.Disturb{Node: 1} },
+		"disturb-node":        func(u *keyUnit) { u.cfg.Disturb = &machine.Disturb{Node: 2} },
 		"controller-bw":       func(u *keyUnit) { u.cfg.ControllerBW = 30e9 },
 		"link-bw":             func(u *keyUnit) { u.cfg.LinkBW = 20e9 },
 		"core-bw":             func(u *keyUnit) { u.cfg.CoreStreamBW = 25e9 },
@@ -225,9 +226,22 @@ func TestCacheKeyClassifiesEveryConfigField(t *testing.T) {
 		"Reps": true, "Jobs": true, "Track": true,
 		"Cache": true, "Cancel": true,
 	}
-	typ := reflect.TypeOf(Config{})
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
+	// Walk Config's fields, descending into embedded structs (machine.Spec):
+	// their promoted fields are Config settings like any other.
+	fields := map[string]bool{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if f.Anonymous {
+				walk(f.Type)
+				continue
+			}
+			fields[f.Name] = true
+		}
+	}
+	walk(reflect.TypeOf(Config{}))
+	for name := range fields {
 		switch {
 		case keyBearing[name] && normalizedOut[name]:
 			t.Errorf("Config.%s classified as both key-bearing and normalized-out", name)
@@ -239,10 +253,6 @@ func TestCacheKeyClassifiesEveryConfigField(t *testing.T) {
 		}
 	}
 	// And the reverse: the lists must not drift ahead of the struct.
-	fields := map[string]bool{}
-	for i := 0; i < typ.NumField(); i++ {
-		fields[typ.Field(i).Name] = true
-	}
 	for name := range keyBearing {
 		if !fields[name] {
 			t.Errorf("key-bearing list names nonexistent Config field %s", name)

@@ -25,8 +25,7 @@ func fullConfig(t *testing.T) harness.Config {
 		Class: workloads.ClassTest,
 		Reps:  2,
 		Seed:  7,
-		Noise: machine.NoiseConfig{},
-		Topo:  topology.SmallTest(),
+		Spec:  machine.Spec{Topo: topology.SmallTest()},
 		// Every payload the results file can carry: metrics, decision
 		// traces, and the rep-0 task trace all ride through the cache.
 		Metrics:        true,

@@ -101,21 +101,10 @@ type Config struct {
 	// Jobs bounds the worker goroutines the executor fans independent
 	// runs across (see pool.go). 0 selects GOMAXPROCS; 1 forces the
 	// sequential path. Results are byte-identical for every value.
-	Jobs  int
-	Noise machine.NoiseConfig
-	Topo  topology.Spec // zero value selects Zen4Vera
-	// Disturb, when non-nil, injects a sustained external interferer on
-	// one NUMA node (see machine.DisturbNode) — the dynamic-asymmetry
-	// extension experiment.
-	Disturb *Disturb
-	// Machine-model overrides for sensitivity sweeps; zero values keep
-	// the memsys calibration defaults, and nil pointers keep the default
-	// contention coefficients.
-	ControllerBW float64
-	LinkBW       float64
-	CoreStreamBW float64
-	Alpha        *float64
-	Beta         *float64
+	Jobs int
+	// Spec is the machine each repetition runs on, built by machine.Build;
+	// its fields (cfg.Topo, cfg.Noise, cfg.Disturb, cfg.Alpha...) promote.
+	machine.Spec
 	// Metrics enables the observability layer: every run collects the
 	// internal/obs registry, and cells carry a merged Snapshot. Off by
 	// default — the disabled path is the PR 2 zero-allocation hot path.
@@ -164,13 +153,6 @@ type Config struct {
 // obsEnabled reports whether runs should carry an obs collector.
 func (cfg Config) obsEnabled() bool { return cfg.Metrics || cfg.TraceDecisions }
 
-// Disturb describes an external interferer for the asymmetry experiment.
-type Disturb struct {
-	Node     int
-	Slowdown float64 // core speed factor, (0, 1]; 0 selects 0.6
-	MemLoad  float64 // controller queue-pressure load; 0 selects 8
-}
-
 // DefaultConfig reproduces the paper's methodology: the 64-core Zen 4
 // platform, 30 repetitions, noise on.
 func DefaultConfig() Config {
@@ -178,8 +160,7 @@ func DefaultConfig() Config {
 		Class: workloads.ClassPaper,
 		Reps:  30,
 		Seed:  2025,
-		Noise: machine.DefaultNoise(),
-		Topo:  topology.Zen4Vera(),
+		Spec:  machine.Spec{Noise: machine.DefaultNoise(), Topo: topology.Zen4Vera()},
 	}
 }
 
@@ -311,47 +292,6 @@ func runSolo(b workloads.Benchmark, sched string, newSched func() taskrt.Schedul
 	})
 }
 
-// buildMachine constructs the fresh simulated machine one repetition runs
-// on: topology defaulting, per-rep seed derivation, model overrides, and
-// disturbance injection — shared by every unit path (solo and co-run) so
-// a given (cfg, rep) always means the same machine.
-func buildMachine(cfg Config, rep int) *machine.Machine {
-	topoSpec := cfg.Topo
-	if topoSpec.Sockets == 0 {
-		topoSpec = topology.Zen4Vera()
-	}
-	mc := machine.Config{
-		Topo:         topology.MustNew(topoSpec),
-		Seed:         cfg.Seed ^ (uint64(rep)+1)*0x9e3779b97f4a7c15,
-		Noise:        cfg.Noise,
-		Alpha:        -1,
-		ControllerBW: cfg.ControllerBW,
-		LinkBW:       cfg.LinkBW,
-		CoreStreamBW: cfg.CoreStreamBW,
-	}
-	if cfg.Alpha != nil {
-		mc.Alpha = *cfg.Alpha
-	}
-	if cfg.Beta != nil {
-		mc.Beta = *cfg.Beta
-		if *cfg.Beta == 0 {
-			mc.Beta = -1 // machine.Config uses negative to force zero
-		}
-	}
-	m := machine.New(mc)
-	if d := cfg.Disturb; d != nil {
-		slow, load := d.Slowdown, d.MemLoad
-		if slow == 0 {
-			slow = 0.6
-		}
-		if load == 0 {
-			load = 8
-		}
-		m.DisturbNode(d.Node, slow, load)
-	}
-	return m
-}
-
 // unitOut is what a unit's observability hooks collected.
 type unitOut struct {
 	obs   *obs.Snapshot
@@ -367,7 +307,7 @@ type unitOut struct {
 // are labelled with name and the scheduler's name sched.
 func runUnit(name, sched string, newSched func() taskrt.Scheduler, cfg Config, rep int,
 	build func(*machine.Machine) func(*taskrt.Runtime) error) (unitOut, error) {
-	m := buildMachine(cfg, rep)
+	m := machine.Build(cfg.Spec, cfg.Seed^(uint64(rep)+1)*0x9e3779b97f4a7c15)
 	run := build(m)
 	rt := taskrt.New(m, newSched(), taskrt.DefaultCosts())
 	var orun *obs.Run

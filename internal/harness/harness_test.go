@@ -16,8 +16,7 @@ func testConfig() Config {
 		Class: workloads.ClassTest,
 		Reps:  2,
 		Seed:  7,
-		Noise: machine.NoiseConfig{Enabled: false},
-		Topo:  topology.SmallTest(),
+		Spec:  machine.Spec{Topo: topology.SmallTest()},
 	}
 }
 
@@ -311,7 +310,7 @@ func TestRunOneWithDisturbance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Disturb = &Disturb{Node: 1}
+	cfg.Disturb = &machine.Disturb{Node: 1}
 	disturbed, err := RunOne(b, KindBaseline, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -319,6 +318,15 @@ func TestRunOneWithDisturbance(t *testing.T) {
 	if disturbed.ElapsedSec <= clean.ElapsedSec {
 		t.Fatalf("disturbed run (%g) not slower than clean (%g)",
 			disturbed.ElapsedSec, clean.ElapsedSec)
+	}
+	// The zero slowdown and load are machine.Build's defaults, 0.6 and 8.
+	cfg.Disturb = &machine.Disturb{Node: 1, Slowdown: 0.6, MemLoad: 8}
+	explicit, err := RunOne(b, KindBaseline, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if explicit != disturbed {
+		t.Fatalf("explicit 0.6/8 disturbance ran %+v, the default ran %+v", explicit, disturbed)
 	}
 }
 

@@ -71,11 +71,7 @@ func stealPolicy(full bool) string {
 // configuration is enqueued.
 func RunOracle(benches []workloads.Benchmark, cfg Config,
 	progress func(bench string, threads int, full bool)) ([]OracleResult, error) {
-	topoSpec := cfg.Topo
-	if topoSpec.Sockets == 0 {
-		topoSpec = topology.Zen4Vera()
-	}
-	topo := topology.MustNew(topoSpec)
+	topo := topology.MustNew(cfg.TopoSpec())
 	g := topo.NodeSize()
 	var pts []OraclePoint
 	for threads := g; threads <= topo.NumCores(); threads += g {

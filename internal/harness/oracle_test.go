@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/ilan-sched/ilan/internal/cellcache"
+	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/workloads"
 )
 
@@ -80,7 +81,7 @@ func TestOracleFixedPointsRunOnTheUnitMachine(t *testing.T) {
 	}
 	plain := run(func(*Config) {})
 	for name, mut := range map[string]func(*Config){
-		"disturb":       func(c *Config) { c.Disturb = &Disturb{Node: 0} },
+		"disturb":       func(c *Config) { c.Disturb = &machine.Disturb{Node: 0} },
 		"controller-bw": func(c *Config) { c.ControllerBW = 5e9 },
 	} {
 		got := run(mut)

@@ -14,14 +14,8 @@ import (
 // and GetNUMAMask starts from the fastest node).
 func TestNodeMaskAvoidsDisturbedNode(t *testing.T) {
 	const victim = 2
-	m := machine.New(machine.Config{
-		Topo:         topology.MustNew(topology.SmallTest()),
-		Seed:         3,
-		Noise:        machine.NoiseConfig{},
-		ControllerBW: 20e9,
-		Alpha:        0.05,
-	})
-	m.DisturbNode(victim, 0.5, 10)
+	m := machine.Build(machine.Spec{Topo: topology.SmallTest(), ControllerBW: 20e9,
+		Disturb: &machine.Disturb{Node: victim, Slowdown: 0.5, MemLoad: 10}}, 3)
 	s := MustNew(DefaultOptions())
 	rt := taskrt.New(m, s, taskrt.DefaultCosts())
 	loop := gatherLoop(rt)
@@ -47,13 +41,8 @@ func TestNodeMaskAvoidsDisturbedNode(t *testing.T) {
 // disturbed node's historical mean task time must exceed the others'.
 func TestDisturbedNodeMeasuresSlower(t *testing.T) {
 	const victim = 1
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.SmallTest()),
-		Seed:  4,
-		Noise: machine.NoiseConfig{},
-		Alpha: -1,
-	})
-	m.DisturbNode(victim, 0.5, 6)
+	m := machine.Build(machine.Spec{Topo: topology.SmallTest(),
+		Disturb: &machine.Disturb{Node: victim, Slowdown: 0.5, MemLoad: 6}}, 4)
 	s := MustNew(DefaultOptions())
 	rt := taskrt.New(m, s, taskrt.DefaultCosts())
 	loop := computeLoop()

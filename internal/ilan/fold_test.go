@@ -16,12 +16,7 @@ import (
 // cuts the run after that many loop executions.
 func runTraced(t *testing.T, opts Options, ringCap, execs int) (*Scheduler, *taskrt.Program, *obs.Snapshot) {
 	t.Helper()
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.Zen4Vera()),
-		Seed:  7,
-		Noise: machine.DefaultNoise(),
-		Alpha: -1,
-	})
+	m := machine.Build(machine.Spec{Topo: topology.Zen4Vera(), Noise: machine.DefaultNoise()}, 7)
 	b, _ := workloads.ByName("CG")
 	prog := b.Build(m, workloads.ClassTest)
 	if execs > 0 {

@@ -289,13 +289,7 @@ func TestBuildPlanContiguousNodeMapping(t *testing.T) {
 
 func newRuntime(t *testing.T, s taskrt.Scheduler, ctrlBW float64) *taskrt.Runtime {
 	t.Helper()
-	m := machine.New(machine.Config{
-		Topo:         smallTopo(),
-		Seed:         3,
-		Noise:        machine.NoiseConfig{Enabled: false},
-		ControllerBW: ctrlBW,
-		Alpha:        0.05,
-	})
+	m := machine.Build(machine.Spec{Topo: topology.SmallTest(), ControllerBW: ctrlBW}, 3)
 	return taskrt.New(m, s, taskrt.DefaultCosts())
 }
 

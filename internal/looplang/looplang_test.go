@@ -37,12 +37,7 @@ const goodDoc = `{
 }`
 
 func newM() *machine.Machine {
-	return machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.SmallTest()),
-		Seed:  1,
-		Noise: machine.NoiseConfig{},
-		Alpha: -1,
-	})
+	return machine.Build(machine.Spec{Topo: topology.SmallTest()}, 1)
 }
 
 func TestParseGoodDocument(t *testing.T) {

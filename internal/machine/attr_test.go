@@ -118,16 +118,11 @@ func TestAttrContentionChargedToInterference(t *testing.T) {
 // the term sum and inflates the residual past tolerance. This is the unit
 // counterpart of the simcheck fuzz invariant.
 func TestAttrConservationAllTermsNonzero(t *testing.T) {
-	m := New(Config{
-		Topo: topology.MustNew(topology.SmallTest()),
-		Seed: 11,
-		Noise: NoiseConfig{
-			Enabled:         true,
-			CoreSpeedSigma:  0.2,
-			TaskJitterSigma: 0.2,
-		},
-		Alpha: -1,
-	})
+	m := Build(Spec{Topo: topology.SmallTest(), Noise: NoiseConfig{
+		Enabled:         true,
+		CoreSpeedSigma:  0.2,
+		TaskJitterSigma: 0.2,
+	}}, 11)
 	m.EnableAttr()
 	r := m.Memory().NewRegion("a", 256*memsys.BlockSize)
 	r.PlaceOnNode(2) // cross-socket: locality term nonzero
@@ -178,15 +173,11 @@ func TestAttrConservationAllTermsNonzero(t *testing.T) {
 // with it on or off.
 func TestAttrOutputNeutral(t *testing.T) {
 	run := func(attr bool) (times []float64, counters Counters) {
-		m := New(Config{
-			Topo: topology.MustNew(topology.SmallTest()),
-			Seed: 7,
-			Noise: NoiseConfig{
-				Enabled:         true,
-				CoreSpeedSigma:  0.1,
-				TaskJitterSigma: 0.1,
-			},
-		})
+		m := Build(Spec{Topo: topology.SmallTest(), Noise: NoiseConfig{
+			Enabled:         true,
+			CoreSpeedSigma:  0.1,
+			TaskJitterSigma: 0.1,
+		}}, 7)
 		if attr {
 			m.EnableAttr()
 		}
@@ -222,11 +213,7 @@ func TestAttrOutputNeutral(t *testing.T) {
 // demand counter must be exported separately. The old code divided demand
 // bytes by elapsed × peak BW and fails both checks whenever jitter ≠ 1.
 func TestMCUtilizationUsesRealizedBytes(t *testing.T) {
-	m := New(Config{
-		Topo:  topology.MustNew(topology.SmallTest()),
-		Seed:  5,
-		Noise: NoiseConfig{Enabled: true, TaskJitterSigma: 0.4},
-	})
+	m := Build(Spec{Topo: topology.SmallTest(), Noise: NoiseConfig{Enabled: true, TaskJitterSigma: 0.4}}, 5)
 	r := m.Memory().NewRegion("a", 256*memsys.BlockSize)
 	r.PlaceOnNode(0)
 	for c := 0; c < 4; c++ {

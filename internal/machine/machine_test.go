@@ -11,12 +11,7 @@ import (
 
 func quietMachine(t *testing.T) *Machine {
 	t.Helper()
-	return New(Config{
-		Topo:  topology.MustNew(topology.SmallTest()),
-		Seed:  1,
-		Noise: NoiseConfig{Enabled: false},
-		Alpha: -1,
-	})
+	return Build(Spec{Topo: topology.SmallTest()}, 1)
 }
 
 func TestComputeOnlyTaskDuration(t *testing.T) {
@@ -231,12 +226,7 @@ func TestChainedExecFromCallback(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []sim.Time {
-		m := New(Config{
-			Topo:  topology.MustNew(topology.SmallTest()),
-			Seed:  99,
-			Noise: DefaultNoise(),
-			Alpha: -1,
-		})
+		m := Build(Spec{Topo: topology.SmallTest(), Noise: DefaultNoise()}, 99)
 		r := m.Memory().NewRegion("a", 256*memsys.BlockSize)
 		r.PlaceBlocked([]int{0, 1, 2, 3})
 		var times []sim.Time
@@ -263,12 +253,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestSeedChangesNoise(t *testing.T) {
 	finish := func(seed uint64) sim.Time {
-		m := New(Config{
-			Topo:  topology.MustNew(topology.SmallTest()),
-			Seed:  seed,
-			Noise: DefaultNoise(),
-			Alpha: -1,
-		})
+		m := Build(Spec{Topo: topology.SmallTest(), Noise: DefaultNoise()}, seed)
 		var f sim.Time
 		m.Exec(0, 1, nil, func() { f = m.Engine().Now() })
 		if err := m.Engine().Run(); err != nil {
@@ -291,16 +276,11 @@ func TestNoiseDisabledMeansUnitSpeeds(t *testing.T) {
 }
 
 func TestOutlierSlowsOneNode(t *testing.T) {
-	m := New(Config{
-		Topo: topology.MustNew(topology.SmallTest()),
-		Seed: 5,
-		Noise: NoiseConfig{
-			Enabled:         true,
-			OutlierProb:     1, // force an outlier
-			OutlierSlowdown: 0.5,
-		},
-		Alpha: -1,
-	})
+	m := Build(Spec{Topo: topology.SmallTest(), Noise: NoiseConfig{
+		Enabled:         true,
+		OutlierProb:     1, // force an outlier
+		OutlierSlowdown: 0.5,
+	}}, 5)
 	slowNodes := 0
 	for n := 0; n < m.Topology().NumNodes(); n++ {
 		slow := true

@@ -16,15 +16,10 @@ import (
 // the split the counters only recorded pre-jitter demand, so no counter
 // matched the traffic the simulation actually moved.
 func TestRealizedBytesMatchSimulatedTraffic(t *testing.T) {
-	m := New(Config{
-		Topo: topology.MustNew(topology.SmallTest()),
-		Seed: 7,
-		Noise: NoiseConfig{
-			Enabled:         true,
-			TaskJitterSigma: 0.2, // jitter only: core speeds stay exactly 1
-		},
-		Alpha: -1,
-	})
+	m := Build(Spec{Topo: topology.SmallTest(), Noise: NoiseConfig{
+		Enabled:         true,
+		TaskJitterSigma: 0.2, // jitter only: core speeds stay exactly 1
+	}}, 7)
 	r := m.Memory().NewRegion("a", 64*memsys.BlockSize)
 	r.PlaceOnNode(0)
 	bytes := int64(10 * memsys.BlockSize)
@@ -80,12 +75,7 @@ func TestRealizedEqualsDemandWithoutNoise(t *testing.T) {
 // node 0, so every task's traffic lands on one controller.
 func stormMachine(tb testing.TB) (*Machine, *memsys.Region) {
 	tb.Helper()
-	m := New(Config{
-		Topo:  topology.MustNew(topology.Zen4Vera()),
-		Seed:  3,
-		Noise: NoiseConfig{Enabled: false},
-		Alpha: -1,
-	})
+	m := Build(Spec{Topo: topology.Zen4Vera()}, 3)
 	r := m.Memory().NewRegion("hot", 64*memsys.BlockSize)
 	r.PlaceOnNode(0)
 	return m, r

@@ -120,12 +120,7 @@ func TestVerifyDistanceRatios(t *testing.T) {
 // resource accounting returns exactly to zero (no load leaks).
 func TestVerifyMachineQuiesces(t *testing.T) {
 	f := func(seeds []uint8) bool {
-		m := New(Config{
-			Topo:  topology.MustNew(topology.SmallTest()),
-			Seed:  7,
-			Noise: NoiseConfig{},
-			Alpha: -1,
-		})
+		m := Build(Spec{Topo: topology.SmallTest()}, 7)
 		r := m.Memory().NewRegion("a", 128*memsys.BlockSize)
 		r.PlaceBlocked([]int{0, 1, 2, 3})
 		n := len(seeds)

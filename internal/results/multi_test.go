@@ -17,8 +17,7 @@ func multiCampaign(t *testing.T) (*harness.MultiMatrix, harness.Config) {
 		Class: workloads.ClassTest,
 		Reps:  2,
 		Seed:  7,
-		Noise: machine.NoiseConfig{},
-		Topo:  topology.SmallTest(),
+		Spec:  machine.Spec{Topo: topology.SmallTest()},
 		Multi: &harness.CoRun{Benches: []string{"CG", "FT"}},
 	}
 	mm, err := harness.RunMulti([]harness.Kind{harness.KindBaseline, harness.KindILAN}, cfg, nil)

@@ -19,8 +19,7 @@ func campaign(t *testing.T, seed uint64) (*harness.Matrix, harness.Config) {
 		Class: workloads.ClassTest,
 		Reps:  2,
 		Seed:  seed,
-		Noise: machine.NoiseConfig{},
-		Topo:  topology.SmallTest(),
+		Spec:  machine.Spec{Topo: topology.SmallTest()},
 	}
 	b, _ := workloads.ByName("Matmul")
 	mx, err := harness.Run([]workloads.Benchmark{b},
@@ -299,7 +298,7 @@ func TestCompareObsRealCampaign(t *testing.T) {
 	mk := func() *File {
 		cfg := harness.Config{
 			Class: workloads.ClassTest, Reps: 2, Seed: 3,
-			Noise: machine.NoiseConfig{}, Topo: topology.SmallTest(),
+			Spec:    machine.Spec{Topo: topology.SmallTest()},
 			Metrics: true,
 		}
 		b, _ := workloads.ByName("Matmul")
@@ -391,8 +390,7 @@ func TestRoundTripPreservesObs(t *testing.T) {
 		Class:          workloads.ClassTest,
 		Reps:           2,
 		Seed:           1,
-		Noise:          machine.NoiseConfig{},
-		Topo:           topology.SmallTest(),
+		Spec:           machine.Spec{Topo: topology.SmallTest()},
 		Metrics:        true,
 		TraceDecisions: true,
 	}

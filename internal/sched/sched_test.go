@@ -11,12 +11,7 @@ import (
 
 func newRT(t *testing.T, s taskrt.Scheduler) *taskrt.Runtime {
 	t.Helper()
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.SmallTest()),
-		Seed:  1,
-		Noise: machine.NoiseConfig{Enabled: false},
-		Alpha: -1,
-	})
+	m := machine.Build(machine.Spec{Topo: topology.SmallTest()}, 1)
 	return taskrt.New(m, s, taskrt.DefaultCosts())
 }
 

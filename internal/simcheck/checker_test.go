@@ -1,7 +1,6 @@
 package simcheck
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -28,11 +27,7 @@ func checkerTopoSpec() topology.Spec {
 // fresh checker, for driving the probe hooks directly.
 func newTestChecker(t *testing.T) (*taskrt.Runtime, *Checker) {
 	t.Helper()
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(checkerTopoSpec()),
-		Seed:  1,
-		Alpha: -1,
-	})
+	m := machine.Build(machine.Spec{Topo: checkerTopoSpec()}, 1)
 	rt := taskrt.New(m, &renumberPlanSched{}, taskrt.DefaultCosts())
 	return rt, Attach(rt)
 }
@@ -272,7 +267,7 @@ func TestCheckerErrTruncation(t *testing.T) {
 // execution.
 func TestCheckerDoesNotPerturbRun(t *testing.T) {
 	sc := Scenario{
-		Spec:  checkerTopoSpec(),
+		Spec:  machine.Spec{Topo: checkerTopoSpec()},
 		Seed:  42,
 		Sched: SchedGen{Kind: 1}, // a stealing scheduler
 		Loops: []LoopGen{{Iters: 32, Tasks: 16, ComputePerIter: 1e-6, Imbalance: 0.5, StreamBytes: 4096}},
@@ -283,23 +278,17 @@ func TestCheckerDoesNotPerturbRun(t *testing.T) {
 		t.Fatalf("checked run failed: err=%v check=%v", checked.Err, checked.Check)
 	}
 
-	m := machine.New(machine.Config{
-		Topo: topology.MustNew(sc.Spec), Seed: sc.Seed, Alpha: -1,
-	})
+	m := machine.Build(sc.Spec, sc.Seed)
 	m.Engine().SetLimit(eventLimit)
 	rt := taskrt.New(m, sc.scheduler(), taskrt.DefaultCosts())
-	res, err := rt.RunProgram(sc.BuildProgram(m))
+	res, err := rt.RunWorkload(sc.BuildWorkload(m))
 	if err != nil {
 		t.Fatalf("unchecked run failed: %v", err)
 	}
 	if rt.AttachedProbe() != nil {
 		t.Fatalf("unchecked runtime unexpectedly has a probe")
 	}
-	unchecked := fmt.Sprintf("%x|%x|%d|%d|%d|%d|%x",
-		float64(res.Elapsed), res.OverheadSec, res.LoopExecutions,
-		res.TasksExecuted, res.StealsLocal, res.StealsRemote,
-		res.WeightedAvgThreads)
-	if unchecked != checked.Digest {
+	if unchecked := digest(res); unchecked != checked.Digest {
 		t.Fatalf("checker perturbed the run: unchecked %s vs checked %s", unchecked, checked.Digest)
 	}
 }

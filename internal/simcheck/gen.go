@@ -85,16 +85,12 @@ type SchedGen struct {
 // workload program shape, and a scheduler. Scenarios are self-contained
 // and deterministic: Run builds everything fresh from the recorded fields.
 type Scenario struct {
-	Spec  topology.Spec
-	Seed  uint64
-	Noise bool
-	// Disturb, when non-nil, injects a sustained external interferer through
-	// machine.DisturbNode before the run. Its fields are passed as given
-	// (the harness's zero-value defaults do not apply).
-	Disturb *harness.Disturb
+	// Spec is the machine, built by machine.Build exactly as a campaign
+	// builds it: topology, noise, disturbance and model overrides.
+	Spec machine.Spec
+	Seed uint64
 	// Programs > 1 runs that many identically-shaped program copies as a
-	// concurrent workload through the admission queue; <= 1 is the solo
-	// RunProgram path.
+	// concurrent workload through the admission queue; <= 1 runs one.
 	Programs int
 	// ArrivalSpread staggers workload program arrivals over [0, spread)
 	// seconds (0 = all arrive at t=0). Only meaningful with Programs > 1.
@@ -146,12 +142,11 @@ const numSchedKinds = int(harness.KindShepherd) + 1
 
 // GenScenario draws a full scenario.
 func GenScenario(src Source, seed uint64) Scenario {
-	sc := Scenario{
-		Spec:  GenTopoSpec(src),
-		Seed:  seed,
-		Noise: src.Intn(2) == 0,
-		Steps: 1 + src.Intn(3),
+	sc := Scenario{Spec: machine.Spec{Topo: GenTopoSpec(src)}, Seed: seed}
+	if src.Intn(2) == 0 {
+		sc.Spec.Noise = machine.DefaultNoise()
 	}
+	sc.Steps = 1 + src.Intn(3)
 	nLoops := 1 + src.Intn(3)
 	for i := 0; i < nLoops; i++ {
 		iters := 1 + src.Intn(48)
@@ -182,7 +177,7 @@ func GenScenario(src Source, seed uint64) Scenario {
 	case pick < numSchedKinds:
 		sc.Sched = SchedGen{Kind: pick}
 	case pick == numSchedKinds:
-		sc.Sched = SchedGen{Kind: int(harness.KindILAN), ILANOpts: genILANOpts(src, sc.Spec)}
+		sc.Sched = SchedGen{Kind: int(harness.KindILAN), ILANOpts: genILANOpts(src, sc.Spec.Topo)}
 	default:
 		sc.Sched = SchedGen{Kind: -1, PlanSeed: seed ^ 0xc0ffee}
 	}
@@ -200,11 +195,44 @@ func GenScenario(src Source, seed uint64) Scenario {
 	// A quarter of scenarios run with one node disturbed: slower cores
 	// and external load on its controller.
 	if src.Intn(4) == 0 {
-		sc.Disturb = &harness.Disturb{
-			Node:     src.Intn(sc.Spec.Sockets * sc.Spec.NodesPerSocket),
+		sc.Spec.Disturb = &machine.Disturb{
+			Node:     src.Intn(sc.Spec.Topo.Sockets * sc.Spec.Topo.NodesPerSocket),
 			Slowdown: 0.5 + 0.5*src.Float64(),
 			MemLoad:  8 * src.Float64(),
 		}
+	}
+
+	// Draws below come after every earlier one, so a source keeps
+	// producing the fields above unchanged.
+
+	// A third of disturbances each leave the slowdown or the load zero,
+	// which machine.Build turns into its defaults, as for ilanexp -disturb.
+	if d := sc.Spec.Disturb; d != nil {
+		switch src.Intn(3) {
+		case 0:
+			d.Slowdown = 0
+		case 1:
+			d.MemLoad = 0
+		}
+	}
+	// A quarter of scenarios override the contention model as the
+	// sensitivity sweep does: bandwidths at 0.5-2x the calibration, and
+	// Alpha and Beta either zero (for Beta, the forced-zero override) or
+	// drawn in [0, 2x) the calibration.
+	if src.Intn(4) == 0 {
+		ctrl, link, port, alpha, beta := memsys.DefaultBandwidth()
+		sc.Spec.ControllerBW = ctrl * (0.5 + 1.5*src.Float64())
+		sc.Spec.LinkBW = link * (0.5 + 1.5*src.Float64())
+		sc.Spec.CoreStreamBW = port * (0.5 + 1.5*src.Float64())
+		coef := func(def float64) *float64 {
+			v := 0.0
+			if src.Intn(2) == 0 {
+				v = 2 * def * src.Float64()
+			}
+			return &v
+		}
+		sc.Spec.Alpha = coef(alpha)
+		sc.Spec.Beta = coef(beta)
 	}
 	return sc
 }
@@ -252,11 +280,16 @@ func (sc Scenario) SchedName() string {
 // String renders the scenario compactly for failure reports.
 func (sc Scenario) String() string {
 	var b strings.Builder
+	ms, topo := sc.Spec, sc.Spec.Topo
 	fmt.Fprintf(&b, "scenario{%dx%dx%d ccd=%d seed=%#x noise=%v sched=%s steps=%d",
-		sc.Spec.Sockets, sc.Spec.NodesPerSocket, sc.Spec.CoresPerNode, sc.Spec.CoresPerCCD,
-		sc.Seed, sc.Noise, sc.SchedName(), sc.Steps)
-	if d := sc.Disturb; d != nil {
+		topo.Sockets, topo.NodesPerSocket, topo.CoresPerNode, topo.CoresPerCCD,
+		sc.Seed, ms.Noise.Enabled, sc.SchedName(), sc.Steps)
+	if d := ms.Disturb; d != nil {
 		fmt.Fprintf(&b, " disturb=node%d/slow=%.3g/load=%.3g", d.Node, d.Slowdown, d.MemLoad)
+	}
+	if ms.ControllerBW != 0 || ms.LinkBW != 0 || ms.CoreStreamBW != 0 || ms.Alpha != nil || ms.Beta != nil {
+		fmt.Fprintf(&b, " bw=%.3g/%.3g/%.3g alpha=%s beta=%s", ms.ControllerBW, ms.LinkBW,
+			ms.CoreStreamBW, optFloat(ms.Alpha), optFloat(ms.Beta))
 	}
 	if sc.Programs > 1 {
 		fmt.Fprintf(&b, " progs=%d spread=%.3g", sc.Programs, sc.ArrivalSpread)
@@ -273,6 +306,14 @@ func (sc Scenario) String() string {
 	return b.String()
 }
 
+// optFloat renders an optional model coefficient ("-" when unset).
+func optFloat(p *float64) string {
+	if p == nil {
+		return "-"
+	}
+	return fmt.Sprintf("%.3g", *p)
+}
+
 // genWeight is a deterministic splitmix-style per-iteration weight in
 // [1-amp, 1+amp]: the generated loops' load-imbalance profile.
 func genWeight(i int, amp float64) float64 {
@@ -284,15 +325,10 @@ func genWeight(i int, amp float64) float64 {
 	return 1 + amp*(2*u-1)
 }
 
-// BuildProgram materializes the scenario's workload on a machine: regions
-// are allocated and block-placed across all nodes, loops become LoopSpecs.
-func (sc Scenario) BuildProgram(m *machine.Machine) *taskrt.Program {
-	return sc.buildProgram(m, -1)
-}
-
 // BuildWorkload materializes the scenario as a Programs-way concurrent
-// workload: each program is an identically-shaped copy with disjoint loop
-// IDs and its own memory regions, its loops tagged with its name.
+// workload (one program when Programs <= 1): each program is an
+// identically-shaped copy with disjoint loop IDs and its own memory
+// regions, block-placed across all nodes, its loops tagged with its name.
 func (sc Scenario) BuildWorkload(m *machine.Machine) *taskrt.Workload {
 	n := sc.Programs
 	if n < 1 {
@@ -309,21 +345,15 @@ func (sc Scenario) BuildWorkload(m *machine.Machine) *taskrt.Workload {
 	return w
 }
 
-// buildProgram builds one program copy. idx < 0 is the solo program
-// (named "fuzz", loop IDs 1..n — unchanged from before workloads
-// existed); idx >= 0 is workload copy "p<idx>" with loop IDs offset by
+// buildProgram builds workload copy "p<idx>", its loop IDs offset by
 // 1000*idx so copies never collide.
 func (sc Scenario) buildProgram(m *machine.Machine, idx int) *taskrt.Program {
 	nodes := make([]int, m.Topology().NumNodes())
 	for i := range nodes {
 		nodes[i] = i
 	}
-	name, idBase, regPfx := "fuzz", 0, ""
-	if idx >= 0 {
-		name = fmt.Sprintf("p%d", idx)
-		idBase = 1000 * idx
-		regPfx = name + "."
-	}
+	name := fmt.Sprintf("p%d", idx)
+	idBase, regPfx := 1000*idx, name+"."
 	p := &taskrt.Program{Name: name}
 	for li, lg := range sc.Loops {
 		lg := lg
@@ -401,58 +431,29 @@ type Result struct {
 
 // Run executes the scenario from scratch under the invariant checker.
 func (sc Scenario) Run() Result {
-	return sc.runSeed(sc.Seed)
-}
-
-// RunReseeded executes the scenario with a different machine seed — the
-// noise=0 metamorphic oracle's second run.
-func (sc Scenario) RunReseeded(seed uint64) Result {
-	return sc.runSeed(seed)
-}
-
-func (sc Scenario) runSeed(seed uint64) Result {
-	noise := machine.NoiseConfig{}
-	if sc.Noise {
-		noise = machine.DefaultNoise()
-	}
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(sc.Spec),
-		Seed:  seed,
-		Noise: noise,
-		Alpha: -1,
-	})
-	if d := sc.Disturb; d != nil {
-		m.DisturbNode(d.Node, d.Slowdown, d.MemLoad)
-	}
+	m := machine.Build(sc.Spec, sc.Seed)
 	m.Engine().SetLimit(eventLimit)
 	rt := taskrt.New(m, sc.scheduler(), taskrt.DefaultCosts())
 	ck := Attach(rt)
-
-	if sc.Programs > 1 {
-		wres, err := rt.RunWorkload(sc.BuildWorkload(m))
-		r := Result{Err: err, Check: ck.Err()}
-		r.Loops, r.Tasks, r.Steals = ck.Stats()
-		if err == nil {
-			var b strings.Builder
-			fmt.Fprintf(&b, "%x", float64(wres.Elapsed))
-			for _, pr := range wres.Programs {
-				fmt.Fprintf(&b, "|%s:%x:%x:%d:%d", pr.Name, pr.ArrivalSec,
-					pr.MakespanSec, pr.LoopExecutions, pr.TasksExecuted)
-			}
-			r.Digest = b.String()
-		}
-		return r
-	}
-
-	prog := sc.BuildProgram(m)
-	res, err := rt.RunProgram(prog)
+	wres, err := rt.RunWorkload(sc.BuildWorkload(m))
 	r := Result{Err: err, Check: ck.Err()}
 	r.Loops, r.Tasks, r.Steals = ck.Stats()
 	if err == nil {
-		r.Digest = fmt.Sprintf("%x|%x|%d|%d|%d|%d|%x",
-			float64(res.Elapsed), res.OverheadSec, res.LoopExecutions,
-			res.TasksExecuted, res.StealsLocal, res.StealsRemote,
-			res.WeightedAvgThreads)
+		r.Digest = digest(wres)
 	}
 	return r
+}
+
+// digest renders a run canonically: the workload's elapsed time and every
+// field of every program's result, floats as exact hex.
+func digest(w *taskrt.WorkloadResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%x", float64(w.Elapsed))
+	for _, pr := range w.Programs {
+		fmt.Fprintf(&b, "|%s:%x:%x:%x:%x:%d:%d:%d:%d:%d:%x:%x", pr.Name, pr.ArrivalSec,
+			pr.StartSec, pr.EndSec, pr.MakespanSec, pr.LoopExecutions, pr.TasksExecuted,
+			pr.StealsLocal, pr.StealsRemote, pr.StealAttempts, pr.OverheadSec,
+			pr.WeightedAvgThreads)
+	}
+	return b.String()
 }

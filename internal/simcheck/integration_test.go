@@ -24,12 +24,14 @@ func TestCheckerAcrossSchedulers(t *testing.T) {
 	for kind := -1; kind < numSchedKinds; kind++ {
 		for _, noise := range []bool{false, true} {
 			sc := Scenario{
-				Spec:  checkerTopoSpec(),
+				Spec:  machine.Spec{Topo: checkerTopoSpec()},
 				Seed:  0xabc ^ uint64(kind+1),
-				Noise: noise,
 				Sched: SchedGen{Kind: kind, PlanSeed: 99},
 				Loops: loops,
 				Steps: 2,
+			}
+			if noise {
+				sc.Spec.Noise = machine.DefaultNoise()
 			}
 			res := sc.Run()
 			if res.Err != nil {
@@ -53,7 +55,7 @@ func TestCheckerOnPresetTopologies(t *testing.T) {
 	for name, spec := range topology.Presets() {
 		for _, kind := range []int{int(harness.KindBaseline), int(harness.KindILAN)} {
 			sc := Scenario{
-				Spec:  spec,
+				Spec:  machine.Spec{Topo: spec},
 				Seed:  31337,
 				Sched: SchedGen{Kind: kind},
 				Loops: []LoopGen{{Iters: 64, Tasks: 32, ComputePerIter: 1e-6, Imbalance: 0.4, StreamBytes: 4096}},
@@ -76,7 +78,7 @@ func TestMetamorphicRandomSweep(t *testing.T) {
 	const runs = 25
 	rng := sim.NewRNG(0xfadedfacade)
 	for i := 0; i < runs; i++ {
-		sc := GenScenario(RNGSource(rng), uint64(i)*0x9e37+1)
+		sc := GenScenario(rng, uint64(i)*0x9e37+1)
 		res := sc.Run()
 		if res.Err != nil {
 			t.Fatalf("run %d: %v\n%s", i, res.Err, sc)
@@ -93,25 +95,55 @@ func TestMetamorphicRandomSweep(t *testing.T) {
 	}
 }
 
-// TestGenScenarioDimensions pins the generator's co-run and disturbance
-// dimensions: co-runs span 2–8 programs, some scenarios disturb a valid
-// node, and failure reports name the disturbance.
+// TestGenScenarioDimensions pins the generator's co-run, disturbance and
+// model-override dimensions: co-runs span 2–8 programs, some scenarios
+// disturb a valid node (some of them with Build's default slowdown or
+// load), some override every model parameter including the zero
+// coefficients, and failure reports name the disturbance and overrides.
 func TestGenScenarioDimensions(t *testing.T) {
 	rng := sim.NewRNG(15)
 	progs := map[int]bool{}
-	disturbed := 0
+	seen := map[string]int{}
 	for i := 0; i < 400; i++ {
-		sc := GenScenario(RNGSource(rng), uint64(i)+1)
+		sc := GenScenario(rng, uint64(i)+1)
 		if sc.Programs > 1 {
 			progs[sc.Programs] = true
 		}
-		if d := sc.Disturb; d != nil {
-			disturbed++
-			if d.Node < 0 || d.Node >= sc.Spec.Sockets*sc.Spec.NodesPerSocket {
+		ms := sc.Spec
+		if d := ms.Disturb; d != nil {
+			seen["disturb"]++
+			if d.Node < 0 || d.Node >= ms.Topo.Sockets*ms.Topo.NodesPerSocket {
 				t.Fatalf("disturbed node %d outside %s", d.Node, sc)
 			}
 			if !strings.Contains(sc.String(), fmt.Sprintf("disturb=node%d", d.Node)) {
 				t.Fatalf("scenario string omits the disturbance: %s", sc)
+			}
+			if d.Slowdown == 0 {
+				seen["default slowdown"]++
+			}
+			if d.MemLoad == 0 {
+				seen["default load"]++
+			}
+		}
+		if ms.ControllerBW != 0 {
+			seen["controller bw"]++
+			if !strings.Contains(sc.String(), fmt.Sprintf("bw=%.3g/", ms.ControllerBW)) {
+				t.Fatalf("scenario string omits the overrides: %s", sc)
+			}
+		}
+		if ms.LinkBW != 0 {
+			seen["link bw"]++
+		}
+		if ms.CoreStreamBW != 0 {
+			seen["core bw"]++
+		}
+		for name, p := range map[string]*float64{"alpha": ms.Alpha, "beta": ms.Beta} {
+			switch {
+			case p == nil:
+			case *p == 0:
+				seen[name+" zero"]++
+			default:
+				seen[name+" drawn"]++
 			}
 		}
 	}
@@ -120,8 +152,36 @@ func TestGenScenarioDimensions(t *testing.T) {
 			t.Errorf("no %d-program co-run in 400 scenarios (saw %v)", n, progs)
 		}
 	}
-	if len(progs) != 7 || disturbed == 0 {
-		t.Errorf("co-run sizes %v, %d disturbed scenarios", progs, disturbed)
+	for _, dim := range []string{"disturb", "default slowdown", "default load",
+		"controller bw", "link bw", "core bw", "alpha zero", "alpha drawn", "beta zero", "beta drawn"} {
+		if seen[dim] == 0 {
+			t.Errorf("no scenario with %s in 400 (saw %v)", dim, seen)
+		}
+	}
+}
+
+// TestDisturbDefaultsMatchHarness: a scenario's Disturb goes through
+// machine.Build like a campaign's, so a zero slowdown and load run as the
+// explicit defaults 0.6 and 8.
+func TestDisturbDefaultsMatchHarness(t *testing.T) {
+	for node := 0; node < 4; node++ {
+		sc := Scenario{
+			Spec:  machine.Spec{Topo: checkerTopoSpec(), Noise: machine.DefaultNoise()},
+			Seed:  0xd157,
+			Sched: SchedGen{Kind: int(harness.KindILAN)},
+			Loops: []LoopGen{{Iters: 48, Tasks: 24, ComputePerIter: 1e-6, StreamBytes: 8192, SpanBytes: 4096}},
+			Steps: 3,
+		}
+		sc.Spec.Disturb = &machine.Disturb{Node: node}
+		implicit := sc.Run()
+		sc.Spec.Disturb = &machine.Disturb{Node: node, Slowdown: 0.6, MemLoad: 8}
+		explicit := sc.Run()
+		if implicit.Err != nil || implicit.Check != nil {
+			t.Fatalf("node %d: err=%v check=%v", node, implicit.Err, implicit.Check)
+		}
+		if implicit.Digest != explicit.Digest {
+			t.Fatalf("node %d: default disturbance %s, explicit %s", node, implicit.Digest, explicit.Digest)
+		}
 	}
 }
 
@@ -131,8 +191,8 @@ func TestRenumberingOracle(t *testing.T) {
 	const runs = 15
 	rng := sim.NewRNG(0x5eedbead)
 	for i := 0; i < runs; i++ {
-		rs := GenRenumberScenario(RNGSource(rng))
-		pi := GenNodePermutation(RNGSource(rng), rs.Spec)
+		rs := GenRenumberScenario(rng)
+		pi := GenNodePermutation(rng, rs.Spec)
 		if err := CheckRenumbering(rs, pi); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -151,8 +211,7 @@ func TestJobsEqualityOracle(t *testing.T) {
 		Class: workloads.ClassTest,
 		Reps:  4,
 		Seed:  7,
-		Noise: machine.DefaultNoise(),
-		Topo:  topology.SmallTest(),
+		Spec:  machine.Spec{Noise: machine.DefaultNoise(), Topo: topology.SmallTest()},
 	}
 	for _, kind := range []harness.Kind{harness.KindBaseline, harness.KindILAN} {
 		cfg.Jobs = 1

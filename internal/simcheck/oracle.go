@@ -6,7 +6,6 @@ import (
 	"github.com/ilan-sched/ilan/internal/harness"
 	"github.com/ilan-sched/ilan/internal/machine"
 	"github.com/ilan-sched/ilan/internal/memsys"
-	"github.com/ilan-sched/ilan/internal/sim"
 	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/topology"
 )
@@ -52,11 +51,12 @@ func CheckDeterminism(sc Scenario) error {
 func CheckSeedIndependence(sc Scenario) error {
 	// Staggered workload arrivals draw from the machine RNG, so the seed
 	// is not inert for spread > 0 even with stealing and noise off.
-	if sc.Noise || !stealFree(sc) || (sc.Programs > 1 && sc.ArrivalSpread > 0) {
+	if sc.Spec.Noise.Enabled || !stealFree(sc) || (sc.Programs > 1 && sc.ArrivalSpread > 0) {
 		return nil
 	}
-	a := sc.Run()
-	b := sc.RunReseeded(sc.Seed ^ 0x5eed5eed5eed5eed)
+	reseeded := sc
+	reseeded.Seed ^= 0x5eed5eed5eed5eed
+	a, b := sc.Run(), reseeded.Run()
 	if a.Err != nil || b.Err != nil {
 		return nil
 	}
@@ -170,20 +170,16 @@ func (s *renumberPlanSched) Observe(*taskrt.Runtime, *taskrt.LoopSpec, *taskrt.L
 // RunRenumbered executes the scenario with node labels mapped through pi
 // (identity: pass nil) and returns the run digest.
 func (rs RenumberScenario) RunRenumbered(pi []int) (string, error) {
-	topo := topology.MustNew(rs.Spec)
+	// Seed is inert: noise off and stealing off draw nothing.
+	m := machine.Build(machine.Spec{Topo: rs.Spec}, 12345)
+	m.Engine().SetLimit(eventLimit)
+	topo := m.Topology()
 	if pi == nil {
 		pi = make([]int, topo.NumNodes())
 		for i := range pi {
 			pi[i] = i
 		}
 	}
-	m := machine.New(machine.Config{
-		Topo:  topo,
-		Seed:  12345, // inert: noise off and stealing off draw nothing
-		Noise: machine.NoiseConfig{},
-		Alpha: -1,
-	})
-	m.Engine().SetLimit(eventLimit)
 
 	prog := &taskrt.Program{Name: "renumber"}
 	plans := map[int]*taskrt.Plan{}
@@ -249,15 +245,14 @@ func (rs RenumberScenario) RunRenumbered(pi []int) (string, error) {
 
 	rt := taskrt.New(m, &renumberPlanSched{plans: plans}, taskrt.DefaultCosts())
 	ck := Attach(rt)
-	res, err := rt.RunProgram(prog)
+	res, err := rt.RunWorkload(&taskrt.Workload{Name: prog.Name, Programs: []*taskrt.Program{prog}})
 	if err != nil {
 		return "", err
 	}
 	if cerr := ck.Err(); cerr != nil {
 		return "", cerr
 	}
-	return fmt.Sprintf("%x|%x|%d|%d", float64(res.Elapsed), res.OverheadSec,
-		res.LoopExecutions, res.TasksExecuted), nil
+	return digest(res), nil
 }
 
 // CheckRenumbering runs the scenario under the identity and under pi and
@@ -277,9 +272,3 @@ func CheckRenumbering(rs RenumberScenario, pi []int) error {
 	}
 	return nil
 }
-
-// --- helpers used by sim.RNG-driven entry points ---
-
-// RNGSource wraps a sim.RNG as a Source (it already satisfies the
-// interface; this alias keeps call sites explicit).
-func RNGSource(r *sim.RNG) Source { return r }

@@ -1,6 +1,8 @@
 package taskrt
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/ilan-sched/ilan/internal/machine"
@@ -89,6 +91,67 @@ func TestChunkedStealAllocsAreZero(t *testing.T) {
 	}
 }
 
+// raceEnabled is set in race builds (race_test.go), whose instrumentation
+// allocates on its own.
+var raceEnabled bool
+
+// maxDispatchStealBytesPerOp bounds the bytes BenchmarkDispatchSteal
+// allocates per dispatched task. It reports 33 B/op (33.5 before
+// truncation), of which 32 are the benchmark scheduler's fresh plan (one
+// 32-byte placement per task): the runtime itself must reuse its
+// execution-scoped buffers. A fresh task array per execution alone adds
+// 32 B/op while allocs/op stays 0.
+const maxDispatchStealBytesPerOp = 34
+
+// TestDispatchStealAllocBytes is the B/op gate for the dispatch/steal
+// loop: the allocs/op gates above cannot see a per-execution buffer that
+// grows with the task count, because it is still one allocation. It runs
+// BenchmarkDispatchSteal's loop — 1024 tasks on core 0 of the 64-core
+// platform, hierarchical chunked steals, a fresh plan per loop — and
+// measures the heap bytes allocated per dispatched task.
+func TestDispatchStealAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const tasksPerLoop, loops = 1024, 16
+	plan := func(rt *Runtime, spec *LoopSpec) *Plan {
+		p := &Plan{
+			Active:         allCores(rt.Topology().NumCores()),
+			Place:          make([]TaskPlacement, 0, spec.Tasks),
+			Mode:           StealHierarchical,
+			InterNodeSteal: true,
+			StealChunk:     4,
+		}
+		for ti := 0; ti < spec.Tasks; ti++ {
+			lo, hi := spec.ChunkBounds(ti)
+			p.Place = append(p.Place, TaskPlacement{Lo: lo, Hi: hi, Core: 0})
+		}
+		return p
+	}
+	m := machine.Build(machine.Spec{Topo: topology.Zen4Vera()}, 1)
+	rt := New(m, &silentScheduler{plan: plan}, DefaultCosts())
+	spec := computeLoop(1, tasksPerLoop, tasksPerLoop, 1e-7/tasksPerLoop)
+	run := func() {
+		rt.SubmitLoop(spec, nil)
+		if err := m.Engine().Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the deques and the execution buffers
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < loops; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / (loops * tasksPerLoop)
+	t.Logf("dispatch/steal loop: %.2f B/op", perOp)
+	if perOp > maxDispatchStealBytesPerOp {
+		t.Fatalf("dispatch/steal loop allocates %.2f B/op, bound %d", perOp, maxDispatchStealBytesPerOp)
+	}
+}
+
 // TestShuffledVictimsMatchesPermDrawOrder pins the RNG draw-order
 // contract: the in-place Fisher–Yates over the scratch buffer must visit
 // victims in exactly the order the old Perm-based scan did, consuming the
@@ -108,7 +171,7 @@ func TestShuffledVictimsMatchesPermDrawOrder(t *testing.T) {
 		}
 
 		rt.rng = sim.NewRNG(seed)
-		got := rt.shuffledVictims(rt.threads[8], pool, nil)
+		got := rt.shuffledVictims(pool, nil)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: got %d victims, want %d", seed, len(got), len(want))
 		}
@@ -326,6 +389,66 @@ func TestChunkedStealDrainsVictimMidChunk(t *testing.T) {
 	}
 }
 
+// TestExecBuffersReusedNotShared: a retired execution's buffers serve the
+// next submission, executions in flight together hold distinct buffers,
+// and a reused buffer partitions its new plan's active set exactly.
+func TestExecBuffersReusedNotShared(t *testing.T) {
+	halves := map[int][]int{2: {0, 1, 2, 3, 4, 5, 6, 7}, 3: {15, 8, 9, 10}}
+	plan := func(rt *Runtime, spec *LoopSpec) *Plan {
+		active, ok := halves[spec.ID]
+		if !ok {
+			return spreadPlan(rt, spec)
+		}
+		p := &Plan{Active: active, Mode: StealHierarchical}
+		for ti := 0; ti < spec.Tasks; ti++ {
+			lo, hi := spec.ChunkBounds(ti)
+			p.Place = append(p.Place, TaskPlacement{Lo: lo, Hi: hi, Core: active[ti%len(active)]})
+		}
+		return p
+	}
+	rt := newTestRuntime(t, &silentScheduler{plan: plan})
+	eng := rt.Machine().Engine()
+	rt.SubmitLoop(computeLoop(1, 64, 64, 1e-6), nil)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rt.bufFree) != 1 {
+		t.Fatalf("%d retired buffers after one loop, want 1", len(rt.bufFree))
+	}
+	retired := rt.bufFree[0]
+	for _, id := range []int{2, 3} {
+		spec := computeLoop(id, 16, 16, 1e-6)
+		spec.Program = fmt.Sprintf("p%d", id)
+		rt.SubmitLoop(spec, nil)
+	}
+	a, b := rt.execs[0].execBufs, rt.execs[1].execBufs
+	if a != retired || b == a {
+		t.Fatalf("in-flight buffers %p and %p, retired %p: want the first reused and the second distinct", a, b, retired)
+	}
+	for _, le := range rt.execs {
+		flat := le.victims.flat
+		if len(flat) != len(le.plan.Active) {
+			t.Fatalf("loop %d: flat has %d entries, want %d", le.spec.ID, len(flat), len(le.plan.Active))
+		}
+		for i, c := range le.plan.Active {
+			if flat[i].core != c {
+				t.Fatalf("loop %d: flat[%d] = core %d, want %d", le.spec.ID, i, flat[i].core, c)
+			}
+		}
+		for n := range le.victims.localByNode {
+			if got := len(le.victims.localByNode[n]) + len(le.victims.remoteByNode[n]); got != len(flat) {
+				t.Fatalf("loop %d: node %d partition covers %d threads, want %d", le.spec.ID, n, got, len(flat))
+			}
+		}
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rt.bufFree) != 2 {
+		t.Fatalf("%d retired buffers after the co-run, want 2", len(rt.bufFree))
+	}
+}
+
 // TestVictimPartitionMatchesPlan checks the plan-scoped victim partition:
 // every active thread appears exactly once in flat, once in its node's
 // local list, and in every other node's remote list — in plan order.
@@ -385,12 +508,7 @@ func TestVictimPartitionMatchesPlan(t *testing.T) {
 // TestMachineExecAllocsSteadyState pins the machine's pooled fluid-task
 // path: compute-only tasks on a warmed machine must not allocate.
 func TestMachineExecAllocsSteadyState(t *testing.T) {
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.SmallTest()),
-		Seed:  3,
-		Noise: machine.NoiseConfig{Enabled: false},
-		Alpha: -1,
-	})
+	m := machine.Build(machine.Spec{Topo: topology.SmallTest()}, 3)
 	eng := m.Engine()
 	done := func() {}
 	allocs := testing.AllocsPerRun(100, func() {

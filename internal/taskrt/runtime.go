@@ -58,6 +58,12 @@ type Runtime struct {
 	// entries hold disjoint core sets.
 	execs      []*loopExec
 	nextExecID int
+	// bufFree holds the scratch of retired executions for the next
+	// submission to reuse (see execBufs).
+	bufFree []*execBufs
+	// scratch holds the victim order being shuffled for a steal scan. One
+	// buffer serves every thread: scans run one at a time and never nest.
+	scratch []*thread
 	// occ is the reusable occupancy view assembled for each Plan call.
 	occ    Occupancy
 	energy machine.EnergyModel
@@ -103,6 +109,40 @@ type victimSet struct {
 	remoteByNode [][]*thread // active threads on every other node
 }
 
+// execBufs is the scratch one loop execution holds from submission to
+// retirement: its victim partition, the partition's backing arrays, and its
+// task backing store. A retired execution's buffers go on Runtime.bufFree,
+// so a steady stream of loops reuses them instead of allocating; executions
+// in flight at the same time hold distinct buffers.
+type execBufs struct {
+	victims    victimSet
+	localBack  []*thread
+	remoteBack []*thread
+	perNode    []int
+	tasks      []Task
+}
+
+// takeBufs hands a new execution the most recently retired buffers, or
+// fresh ones.
+func (rt *Runtime) takeBufs() *execBufs {
+	n := len(rt.bufFree)
+	if n == 0 {
+		return &execBufs{}
+	}
+	b := rt.bufFree[n-1]
+	rt.bufFree[n-1] = nil
+	rt.bufFree = rt.bufFree[:n-1]
+	return b
+}
+
+// reuse returns s emptied, or a new slice when s cannot hold n elements.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 type thread struct {
 	core    int
 	node    int
@@ -125,10 +165,6 @@ type thread struct {
 	curFrom   int // victim core of a stolen task, -1 otherwise
 	curStart  sim.Time
 
-	// scratch holds the victim order being shuffled for this thread's
-	// steal scans; it is reused across attempts.
-	scratch []*thread
-
 	// Pre-bound callbacks (created once in New): the wake->dispatch hop,
 	// the dispatch-cost delay, and the machine's task-done notification.
 	dispatchFn sim.Event
@@ -148,11 +184,10 @@ type loopExec struct {
 	st          LoopStats
 	done        func(*LoopStats)
 
-	// victims is this execution's victim partition; tasks is its task
-	// backing store. Both are execution-scoped so that concurrent loops
-	// steal and release independently.
-	victims victimSet
-	tasks   []Task
+	// execBufs holds this execution's victim partition and task backing
+	// store. They are execution-scoped so that concurrent loops steal and
+	// release independently.
+	*execBufs
 
 	// Pre-bound lifecycle events (created once per execution): the
 	// post-setup task release and the post-barrier completion.
@@ -187,17 +222,17 @@ func New(mach *machine.Machine, sched Scheduler, costs Costs) *Runtime {
 		energy: machine.DefaultEnergy(),
 	}
 	nCores := rt.topo.NumCores()
+	// The shuffle scratch holds at most every active thread.
+	rt.scratch = make([]*thread, 0, nCores)
 	for c := 0; c < nCores; c++ {
 		th := &thread{
 			core: c,
 			node: rt.topo.NodeOfCore(c),
 			idle: true,
-			// Capacities are fixed up front so the steal path never grows
-			// them mid-campaign: the shuffle scratch holds at most every
-			// active thread, and the deque start covers chunked-steal
+			// The deque's capacity is fixed up front so the steal path
+			// never grows it mid-campaign: it covers chunked-steal
 			// transfers (releaseTasks warms wider master queues once).
-			deque:   make([]*Task, 0, 16),
-			scratch: make([]*thread, 0, nCores),
+			deque: make([]*Task, 0, 16),
 		}
 		th.dispatchFn = func() { rt.dispatch(th) }
 		th.execFn = func() { rt.execTask(th) }
@@ -258,6 +293,7 @@ func (rt *Runtime) SubmitLoop(spec *LoopSpec, done func(*LoopStats)) {
 	le.st.NodeTaskSeconds = make([]float64, rt.topo.NumNodes())
 	le.st.NodeTasks = make([]int, rt.topo.NumNodes())
 	le.st.ActiveThreads = len(plan.Active)
+	le.execBufs = rt.takeBufs()
 	if rt.trace != nil {
 		le.exec = rt.trace.beginLoop(spec)
 	}
@@ -314,21 +350,24 @@ func (rt *Runtime) freeCores() int {
 // buildVictims computes the execution's victim partition. Partitions are
 // plan-scoped: Active is fixed for the whole loop, so the grouping never
 // changes between steal attempts — only the scan order does, and that is
-// (re)drawn per attempt over the per-thread scratch buffer.
+// (re)drawn per attempt over the runtime's scratch buffer.
 func (le *loopExec) buildVictims(rt *Runtime) {
 	nNodes := rt.topo.NumNodes()
 	nActive := len(le.plan.Active)
 	v := &le.victims
-	v.flat = make([]*thread, 0, nActive)
-	v.localByNode = make([][]*thread, nNodes)
-	v.remoteByNode = make([][]*thread, nNodes)
+	v.flat = reuse(v.flat, nActive)
+	v.localByNode = reuse(v.localByNode, nNodes)[:nNodes]
+	v.remoteByNode = reuse(v.remoteByNode, nNodes)[:nNodes]
 	// Two shared backing arrays keep the partition's allocation count
 	// independent of both the active-set size and the node count: the
 	// local groups partition Active, the remote groups tile it once per
 	// other node.
-	localBack := make([]*thread, 0, nActive)
-	remoteBack := make([]*thread, 0, nActive*(nNodes-1))
-	perNode := make([]int, nNodes)
+	le.localBack = reuse(le.localBack, nActive)
+	le.remoteBack = reuse(le.remoteBack, nActive*(nNodes-1))
+	localBack, remoteBack := le.localBack, le.remoteBack
+	le.perNode = reuse(le.perNode, nNodes)[:nNodes]
+	perNode := le.perNode
+	clear(perNode)
 	for _, c := range le.plan.Active {
 		perNode[rt.threads[c].node]++
 	}
@@ -585,6 +624,10 @@ func (rt *Runtime) completeLoop(le *loopExec) {
 			th.exec = nil
 		}
 	}
+	// Every task has run and every deque of the plan is dry, so nothing
+	// points into the buffers any more.
+	rt.bufFree = append(rt.bufFree, le.execBufs)
+	le.execBufs = nil
 	rt.loopExecutions++
 	rt.elapsedLoopSec += float64(le.st.Elapsed)
 	rt.sched.Observe(rt, le.spec, &le.st)
@@ -600,20 +643,20 @@ func (rt *Runtime) chargeOverhead(le *loopExec, sec float64) {
 	}
 }
 
-// shuffledVictims copies src (minus skip, when non-nil) into th's scratch
+// shuffledVictims copies src (minus skip, when non-nil) into the scratch
 // buffer and shuffles it in place with a Fisher–Yates that performs the
 // exact Intn draw sequence of sim.RNG.Perm(len(result)). Applying Perm's
 // swap sequence directly to the victim values instead of to an index
 // permutation visits victims in the identical order while allocating
 // nothing — the draw-order contract campaign determinism rests on.
-func (rt *Runtime) shuffledVictims(th *thread, src []*thread, skip *thread) []*thread {
-	s := th.scratch[:0]
+func (rt *Runtime) shuffledVictims(src []*thread, skip *thread) []*thread {
+	s := rt.scratch[:0]
 	for _, v := range src {
 		if v != skip {
 			s = append(s, v)
 		}
 	}
-	th.scratch = s
+	rt.scratch = s
 	for i := len(s) - 1; i > 0; i-- {
 		j := rt.rng.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
@@ -636,7 +679,7 @@ func (rt *Runtime) trySteal(th *thread, le *loopExec) (*Task, bool, int, *thread
 		// The shuffle spans every active thread (the thief included, as in
 		// the LLVM runtime's victim draw); the thief skips itself while
 		// scanning.
-		for _, v := range rt.shuffledVictims(th, victims.flat, nil) {
+		for _, v := range rt.shuffledVictims(victims.flat, nil) {
 			if v == th {
 				continue
 			}
@@ -647,7 +690,7 @@ func (rt *Runtime) trySteal(th *thread, le *loopExec) (*Task, bool, int, *thread
 		}
 		return nil, false, scanned, nil
 	case StealHierarchical:
-		for _, v := range rt.shuffledVictims(th, victims.localByNode[th.node], th) {
+		for _, v := range rt.shuffledVictims(victims.localByNode[th.node], th) {
 			scanned++
 			if t := v.stealFor(th.node, rt.rng); t != nil {
 				return t, false, scanned, v
@@ -657,7 +700,7 @@ func (rt *Runtime) trySteal(th *thread, le *loopExec) (*Task, bool, int, *thread
 		// thief's node is out of queued work: inter-node stealing is
 		// allowed if the plan permits it.
 		if plan.InterNodeSteal {
-			for _, v := range rt.shuffledVictims(th, victims.remoteByNode[th.node], nil) {
+			for _, v := range rt.shuffledVictims(victims.remoteByNode[th.node], nil) {
 				scanned++
 				if t := v.stealFor(th.node, rt.rng); t != nil {
 					return t, true, scanned, v

@@ -60,12 +60,7 @@ func masterQueuePlan(rt *Runtime, spec *LoopSpec) *Plan {
 
 func newTestRuntime(t *testing.T, sch Scheduler) *Runtime {
 	t.Helper()
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.SmallTest()),
-		Seed:  7,
-		Noise: machine.NoiseConfig{Enabled: false},
-		Alpha: -1,
-	})
+	m := machine.Build(machine.Spec{Topo: topology.SmallTest()}, 7)
 	return New(m, sch, DefaultCosts())
 }
 
@@ -442,12 +437,7 @@ func TestProgramValidate(t *testing.T) {
 
 func TestRunProgramDeterministic(t *testing.T) {
 	run := func() float64 {
-		m := machine.New(machine.Config{
-			Topo:  topology.MustNew(topology.SmallTest()),
-			Seed:  11,
-			Noise: machine.DefaultNoise(),
-			Alpha: -1,
-		})
+		m := machine.Build(machine.Spec{Topo: topology.SmallTest(), Noise: machine.DefaultNoise()}, 11)
 		rt := New(m, &planScheduler{name: "master", plan: masterQueuePlan}, DefaultCosts())
 		prog := &Program{
 			Name:     "p",

@@ -14,12 +14,7 @@ import (
 
 func traceOf(t *testing.T) (*taskrt.Trace, *taskrt.Runtime) {
 	t.Helper()
-	m := machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.SmallTest()),
-		Seed:  1,
-		Noise: machine.NoiseConfig{},
-		Alpha: -1,
-	})
+	m := machine.Build(machine.Spec{Topo: topology.SmallTest()}, 1)
 	rt := taskrt.New(m, &sched.Baseline{}, taskrt.DefaultCosts())
 	tr := rt.EnableTracing()
 	specs := []*taskrt.LoopSpec{

@@ -11,12 +11,7 @@ import (
 )
 
 func newMachine() *machine.Machine {
-	return machine.New(machine.Config{
-		Topo:  topology.MustNew(topology.Zen4Vera()),
-		Seed:  1,
-		Noise: machine.NoiseConfig{Enabled: false},
-		Alpha: -1,
-	})
+	return machine.Build(machine.Spec{Topo: topology.Zen4Vera()}, 1)
 }
 
 func TestRegistryComplete(t *testing.T) {
