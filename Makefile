@@ -19,10 +19,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# Hot-path benchmarks (event engine, dispatch/steal loop, full campaign)
-# with allocation stats; the JSON snapshot records the perf trajectory.
+# Hot-path benchmarks (event engine, dispatch/steal loop, full campaign,
+# trace packing) with allocation stats; the JSON snapshot records the perf
+# trajectory.
 bench:
-	$(GO) test -bench='BenchmarkEngineEvents|BenchmarkDispatchSteal|BenchmarkFullCampaignCG|BenchmarkRefreshStorm|BenchmarkMachineExec|BenchmarkResolver' \
+	$(GO) test -bench='BenchmarkEngineEvents|BenchmarkDispatchSteal|BenchmarkFullCampaignCG|BenchmarkRefreshStorm|BenchmarkMachineExec|BenchmarkResolver|BenchmarkTracePack|BenchmarkTraceUnpack' \
 		-benchmem -run=NONE . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_hotpath.json
 
 # Full benchmark sweep (figures, ablations, micro-benches).
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSpecValidate -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -fuzz=FuzzFluidReference -fuzztime=$(FUZZTIME) ./internal/machine
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/looplang
+	$(GO) test -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/taskrt
 	$(GO) run ./cmd/ilanfuzz -runs 500
 
 # Reproduce every figure and table at paper scale (3 min 45 s wall, 7.3 CPU

@@ -454,6 +454,51 @@ func BenchmarkFullCampaignCG(b *testing.B) {
 	}
 }
 
+// cgTrace records the task trace of one test-class CG run under ILAN on
+// the paper platform: what a traced campaign's rep 0 stores per cell.
+func cgTrace(b *testing.B) *taskrt.Trace {
+	b.Helper()
+	m := benchMachine(1)
+	w, _ := workloads.ByName("CG")
+	prog := w.Build(m, workloads.ClassTest)
+	rt := taskrt.New(m, newILAN(), taskrt.DefaultCosts())
+	tr := rt.EnableTracing()
+	if _, err := rt.RunProgram(prog); err != nil {
+		b.Fatal(err)
+	}
+	return tr
+}
+
+var packSink taskrt.PackedTrace
+
+// BenchmarkTracePack measures packing a recorded CG trace, which every
+// traced unit pays once; "B/task" is the packed size per task event.
+func BenchmarkTracePack(b *testing.B) {
+	tr := cgTrace(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packSink = tr.Pack()
+	}
+	b.ReportMetric(float64(len(packSink))/float64(len(tr.Tasks)), "B/task")
+}
+
+var unpackSink *taskrt.Trace
+
+// BenchmarkTraceUnpack measures decoding the packed CG trace, which the
+// Perfetto export, obsdump and tracedump pay per trace they read.
+func BenchmarkTraceUnpack(b *testing.B) {
+	packed := cgTrace(b).Pack()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if unpackSink, err = packed.Unpack(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // perLoopAllocs measures the per-loop allocation count of a warmed
 // runtime driving a 512-task compute loop — the hot path the zero-alloc
 // contract (DESIGN.md §8) protects.

@@ -405,14 +405,14 @@ func main() {
 		var traced []tracedCell
 		if mm != nil {
 			for _, k := range mm.Kinds {
-				if c := mm.Cells[k]; c != nil && c.TaskTrace() != nil {
-					traced = append(traced, tracedCell{k, c.TaskTrace(), c.Samples[0].Obs})
+				if c := mm.Cells[k]; c != nil && len(c.PackedTrace()) > 0 {
+					traced = append(traced, tracedCell{k, c.PackedTrace(), c.Samples[0].Obs})
 				}
 			}
 		} else {
 			mx.EachCell(func(c *harness.Cell) {
-				if c.TaskTrace() != nil {
-					traced = append(traced, tracedCell{c.Kind, c.TaskTrace(), c.Samples[0].Obs})
+				if len(c.PackedTrace()) > 0 {
+					traced = append(traced, tracedCell{c.Kind, c.PackedTrace(), c.Samples[0].Obs})
 				}
 			})
 		}
@@ -454,15 +454,16 @@ func report(exp string, mx *harness.Matrix, chart bool) {
 // tracedCell is rep 0 of one traced cell, as the Perfetto export draws it.
 type tracedCell struct {
 	kind  harness.Kind
-	trace *taskrt.Trace
+	trace taskrt.PackedTrace
 	obs   *obs.Snapshot
 }
 
 // writePerfetto exports one cell's rep-0 task trace as Chrome trace-event
 // JSON. The ILAN cell is the interesting one (phase transitions,
 // yellow/green stealing); fall back to the first traced cell when the
-// campaign ran without ILAN. A co-run trace's per-program tags group each
-// co-runner under its own process track.
+// campaign ran without ILAN. Only the exported trace is decoded. A co-run
+// trace's per-program tags group each co-runner under its own process
+// track.
 func writePerfetto(w io.Writer, cells []tracedCell) error {
 	if len(cells) == 0 {
 		return fmt.Errorf("no task trace recorded (internal error: -perfetto should imply tracing)")
@@ -478,5 +479,9 @@ func writePerfetto(w io.Writer, cells []tracedCell) error {
 	if pick.obs != nil {
 		decisions = pick.obs.Decisions
 	}
-	return chrometrace.Write(w, pick.trace, decisions, chrometrace.Options{})
+	trace, err := pick.trace.Unpack()
+	if err != nil {
+		return err
+	}
+	return chrometrace.Write(w, trace, decisions, chrometrace.Options{})
 }

@@ -151,8 +151,12 @@ func main() {
 // writePerfetto converts the cell's rep-0 task trace (plus its rep-0
 // decisions, when recorded) to Chrome trace-event JSON on stdout.
 func writePerfetto(c *results.Cell) error {
-	if c.Trace == nil {
+	if len(c.Trace) == 0 {
 		return fmt.Errorf("cell %s/%s has no task trace (rerun the campaign with ilanexp -perfetto, or any tracing config)", c.Bench, c.Kind)
+	}
+	trace, err := c.Trace.Unpack()
+	if err != nil {
+		return fmt.Errorf("cell %s/%s: %w", c.Bench, c.Kind, err)
 	}
 	var decisions []obs.Decision
 	if c.Obs != nil {
@@ -162,7 +166,7 @@ func writePerfetto(c *results.Cell) error {
 			}
 		}
 	}
-	return chrometrace.Write(os.Stdout, c.Trace, decisions, chrometrace.Options{})
+	return chrometrace.Write(os.Stdout, trace, decisions, chrometrace.Options{})
 }
 
 func listCells(file *results.File) {

@@ -59,7 +59,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracedump:", err)
 		os.Exit(1)
 	}
-	trace := sample.Trace
+	trace, err := sample.Trace.Unpack()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracedump:", err)
+		os.Exit(1)
+	}
 	topo := topology.MustNew(cfg.TopoSpec())
 
 	fmt.Printf("%s under %s: %.4f virtual seconds\n", b.Name, kind, sample.ElapsedSec)

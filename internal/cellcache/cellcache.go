@@ -38,10 +38,12 @@ import (
 	"github.com/ilan-sched/ilan/internal/fsatomic"
 )
 
-// Version is the entry envelope schema version. Entries written by a
-// different version are misses (recomputed and rewritten), so the format
-// can evolve without poisoning old caches.
-const Version = 1
+// Version is the entry schema version. Entries written by a different
+// version are misses (recomputed and rewritten), so the format can evolve
+// without poisoning old caches. It also feeds the harness's cache keys,
+// so a bump moves every unit to a new address. Version 2: task traces in
+// unit payloads are packed (taskrt.PackedTrace).
+const Version = 2
 
 const (
 	indexName  = "index.json"
@@ -153,39 +155,63 @@ func (c *Cache) path(key string) string {
 // Get returns the payload stored under key. Every failure mode —
 // unknown key, unreadable file, bad JSON, version skew, key mismatch — is
 // a miss; corrupt entries are deleted so they are not re-read every run.
+// The entry is read and parsed outside the lock, so concurrent Gets
+// overlap their disk reads.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	if !validKey(key) {
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	e, ok := c.index[key]
+	c.mu.Unlock()
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		c.dropLocked(key, e)
-		c.errors.Add(1)
+	payload, err := c.read(key)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur, ok := c.index[key]
+	switch {
+	case !ok:
+		// Evicted, discarded or dropped by another Get while this one
+		// read: the entry is gone either way.
 		c.misses.Add(1)
 		return nil, false
-	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil ||
-		env.Version != Version || env.Key != key || len(env.Payload) == 0 {
-		os.Remove(c.path(key))
-		c.dropLocked(key, e)
-		c.errors.Add(1)
+	case err != nil:
+		// Drop the entry only if it is still the one that failed to
+		// read; a Put or a Get that touched it since leaves it alone.
+		if cur == e {
+			os.Remove(c.path(key))
+			c.dropLocked(key, cur)
+			c.errors.Add(1)
+		}
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.seq++
-	e.Used = c.seq
-	c.index[key] = e
+	cur.Used = c.seq
+	c.index[key] = cur
 	c.hits.Add(1)
-	return env.Payload, true
+	return payload, true
+}
+
+// read loads and checks the entry file for key.
+func (c *Cache) read(key string) ([]byte, error) {
+	data, err := os.ReadFile(c.path(key))
+	if err != nil {
+		return nil, err
+	}
+	var env envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, err
+	}
+	if env.Version != Version || env.Key != key || len(env.Payload) == 0 {
+		return nil, fmt.Errorf("cellcache: entry %s is skewed or empty", key)
+	}
+	return env.Payload, nil
 }
 
 // Put stores payload under key, evicting least-recently-used entries if

@@ -280,3 +280,54 @@ func TestUnboundedNeverEvicts(t *testing.T) {
 		t.Fatalf("Len = %d, want 50", c.Len())
 	}
 }
+
+// Get reads entries outside the lock, so a Put or Discard of the same key
+// can land between its read and its bookkeeping. Run under -race: every
+// hit must carry the key's payload, every Get must count as exactly one
+// hit or miss, and the size accounting must match the index afterwards.
+func TestConcurrentGetPutDiscardSameKeys(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), 0)
+	const workers, perWorker, keys = 6, 60, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*perWorker)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perWorker {
+				id := (w + i) % keys
+				key := testKey(fmt.Sprintf("same-%d", id))
+				want := fmt.Sprintf(`{"id":%d}`, id)
+				switch (w + i) % 3 {
+				case 0:
+					if err := c.Put(key, []byte(want)); err != nil {
+						errs <- err
+					}
+				case 1:
+					c.Discard(key)
+				}
+				if got, ok := c.Get(key); ok && string(got) != want {
+					errs <- fmt.Errorf("key %d: got %s want %s", id, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	st := c.Stats()
+	if st.Hits+st.Misses != workers*perWorker {
+		t.Fatalf("hits %d + misses %d != %d Gets", st.Hits, st.Misses, workers*perWorker)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var size int64
+	for _, e := range c.index {
+		size += e.Size
+	}
+	if size != c.size {
+		t.Fatalf("index entries sum to %d bytes, cache accounts %d", size, c.size)
+	}
+}

@@ -20,6 +20,8 @@ import (
 //
 // Included (any change must change the result, so it changes the key):
 //   - the simulator/code fingerprint (bumped when the model changes),
+//   - the entry version, cellcache.Version (bumped when the stored
+//     payload's format changes, as when traces were packed),
 //   - benchmark name and workload class (the workload model + parameters),
 //   - scheduler name (the name fully determines the scheduler
 //     construction, including its ILAN option set: a Kind's name via
@@ -136,10 +138,12 @@ func cacheKey(bench, sched string, cfg Config, rep int) string {
 // cachedUnit runs one unit through cfg.Cache: a sound entry under the
 // unit's key is replayed, and a miss runs the simulation and commits its
 // result before returning. Samples (RunSample, MultiSample, with their obs
-// snapshots and rep-0 task traces) round-trip losslessly through JSON: Go
-// prints floats in the shortest form that parses back exactly, and the
-// results writer re-encodes through the same marshaler, so a campaign
-// assembled from cached units is byte-identical to a cold run.
+// snapshots) round-trip losslessly through JSON: Go prints floats in the
+// shortest form that parses back exactly, and the results writer
+// re-encodes through the same marshaler. A rep-0 task trace rides along
+// as its packed bytes (taskrt.PackedTrace, base64 in the payload), which
+// the cache neither decodes nor re-encodes. So a campaign assembled from
+// cached units is byte-identical to a cold run.
 func cachedUnit[S any](cfg Config, bench, sched string, rep int, run func() (S, error)) (S, error) {
 	if cfg.Cache == nil {
 		return run()

@@ -160,8 +160,10 @@ func TestCacheKeyMultiPerturbation(t *testing.T) {
 // under a fixed fingerprint, so merging or refactoring the key builder can
 // never move an existing entry's address. The expected values were
 // computed with the separate solo and co-run key builders this one
-// replaced. The config sets both Attr and Multi on purpose: the solo key
-// must drop Multi and the co-run key must drop Attr.
+// replaced, then moved once when cellcache.Version (the key's
+// EntryVersion) went from 1 to 2 for packed traces. The config sets both
+// Attr and Multi on purpose: the solo key must drop Multi and the co-run
+// key must drop Attr.
 func TestCacheKeyPinnedHex(t *testing.T) {
 	old := simFingerprint
 	defer func() { simFingerprint = old }()
@@ -174,8 +176,8 @@ func TestCacheKeyPinnedHex(t *testing.T) {
 	for _, c := range []struct {
 		unit, bench, want string
 	}{
-		{"solo", "CG", "54f3a52ee5c64866d674bd0a8de7bd5a0aa729b42b9eb52d57b9b670a2bc1784"},
-		{"co-run", "", "7aa09e267d674b4a6c3b4cd907afb850c864f4791ad6f1fe7a924a050d5c28bf"},
+		{"solo", "CG", "8b4a4fb940af9846bed7ed596b614f2d2e9e029f393a3793084c50709c613879"},
+		{"co-run", "", "0749c3509ed5070a8a24b7d9e3383889d2a12cf358eb658ca29a2b45b5ed8640"},
 	} {
 		if got := cacheKey(c.bench, KindILAN.String(), cfg, 1); got != c.want {
 			t.Errorf("%s unit key = %s, want %s", c.unit, got, c.want)
@@ -341,7 +343,7 @@ func TestRunOneCorruptEntryRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != cold {
+	if !reflect.DeepEqual(again, cold) {
 		t.Fatalf("recomputed sample diverged: %+v vs %+v", again, cold)
 	}
 	st := cfg.Cache.Stats()
@@ -389,7 +391,7 @@ func TestRunCampaignCacheConcurrent(t *testing.T) {
 	cold.EachCell(func(c *Cell) {
 		w := warm.Cell(c.Bench, c.Kind)
 		for r := range c.Samples {
-			if c.Samples[r] != w.Samples[r] {
+			if !reflect.DeepEqual(c.Samples[r], w.Samples[r]) {
 				t.Fatalf("%s/%v rep %d diverged between cold and warm", c.Bench, c.Kind, r)
 			}
 		}

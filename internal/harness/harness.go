@@ -175,9 +175,9 @@ type RunSample struct {
 	// Obs is the run's observability snapshot (nil unless Config.Metrics
 	// or Config.TraceDecisions is set).
 	Obs *obs.Snapshot
-	// Trace is the run's task-event trace (nil unless Config.TraceTasks is
-	// set and this is repetition 0).
-	Trace *taskrt.Trace
+	// Trace is the run's packed task-event trace (empty unless
+	// Config.TraceTasks is set and this is repetition 0).
+	Trace taskrt.PackedTrace
 	// Attr is the run's attribution report (nil unless Config.Attr is set).
 	Attr *obs.AttrSnapshot
 }
@@ -187,6 +187,8 @@ type Cell struct {
 	Bench   string
 	Kind    Kind
 	Samples []RunSample
+
+	trace *taskrt.Trace // TaskTrace's decode of Samples[0].Trace
 }
 
 // Times returns the elapsed seconds of all samples.
@@ -207,13 +209,24 @@ func (c *Cell) Overheads() []float64 {
 	return out
 }
 
-// TaskTrace returns the cell's recorded task-event trace (repetition 0),
-// or nil when the campaign ran without Config.TraceTasks.
-func (c *Cell) TaskTrace() *taskrt.Trace {
+// PackedTrace returns repetition 0's packed task-event trace, empty when
+// the campaign ran without Config.TraceTasks.
+func (c *Cell) PackedTrace() taskrt.PackedTrace {
 	if len(c.Samples) == 0 {
 		return nil
 	}
 	return c.Samples[0].Trace
+}
+
+// TaskTrace returns the cell's recorded task-event trace (repetition 0),
+// or nil when the campaign ran without Config.TraceTasks or the packed
+// trace does not decode. The first call decodes it; later calls return
+// the same trace.
+func (c *Cell) TaskTrace() *taskrt.Trace {
+	if c.trace == nil {
+		c.trace, _ = c.PackedTrace().Unpack()
+	}
+	return c.trace
 }
 
 // MergedObs merges the samples' observability snapshots in repetition
@@ -295,7 +308,7 @@ func runSolo(b workloads.Benchmark, sched string, newSched func() taskrt.Schedul
 // unitOut is what a unit's observability hooks collected.
 type unitOut struct {
 	obs   *obs.Snapshot
-	trace *taskrt.Trace
+	trace taskrt.PackedTrace
 	attr  *obs.AttrSnapshot
 }
 
@@ -315,9 +328,9 @@ func runUnit(name, sched string, newSched func() taskrt.Scheduler, cfg Config, r
 		orun = obs.NewRun(obs.Options{TraceDecisions: cfg.TraceDecisions, RingCap: cfg.DecisionCap})
 		rt.SetObs(orun)
 	}
-	var out unitOut
+	var trace *taskrt.Trace
 	if cfg.TraceTasks && rep == 0 {
-		out.trace = rt.EnableTracing()
+		trace = rt.EnableTracing()
 	}
 	if cfg.Attr {
 		rt.EnableAttr()
@@ -325,6 +338,7 @@ func runUnit(name, sched string, newSched func() taskrt.Scheduler, cfg Config, r
 	if err := run(rt); err != nil {
 		return unitOut{}, fmt.Errorf("harness: %s/%s rep %d: %w", name, sched, rep, err)
 	}
+	out := unitOut{trace: trace.Pack()}
 	if orun != nil {
 		rt.FinalizeObs()
 		out.obs = orun.Snapshot()

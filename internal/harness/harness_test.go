@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -325,7 +326,7 @@ func TestRunOneWithDisturbance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if explicit != disturbed {
+	if !reflect.DeepEqual(explicit, disturbed) {
 		t.Fatalf("explicit 0.6/8 disturbance ran %+v, the default ran %+v", explicit, disturbed)
 	}
 }

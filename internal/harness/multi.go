@@ -72,11 +72,11 @@ type MultiSample struct {
 	// Config.Metrics or Config.TraceDecisions is set). Decision traces are
 	// tagged with the deciding program.
 	Obs *obs.Snapshot
-	// Trace is the repetition's task-event trace (nil unless
+	// Trace is the repetition's packed task-event trace (empty unless
 	// Config.TraceTasks is set and this is repetition 0); task events are
 	// tagged per program, so the Perfetto export groups co-runners as
 	// separate processes.
-	Trace *taskrt.Trace
+	Trace taskrt.PackedTrace
 }
 
 // MultiCell aggregates all repetitions of one scheduler kind over the
@@ -84,6 +84,8 @@ type MultiSample struct {
 type MultiCell struct {
 	Kind    Kind
 	Samples []MultiSample
+
+	trace *taskrt.Trace // TaskTrace's decode of Samples[0].Trace
 }
 
 // Elapsed returns the overall workload elapsed seconds of all samples.
@@ -114,12 +116,21 @@ func (c *MultiCell) MergedObs() *obs.Snapshot {
 	return obs.Merge(snaps)
 }
 
-// TaskTrace returns repetition 0's task trace, or nil.
-func (c *MultiCell) TaskTrace() *taskrt.Trace {
+// PackedTrace returns repetition 0's packed task trace, or nil.
+func (c *MultiCell) PackedTrace() taskrt.PackedTrace {
 	if len(c.Samples) == 0 {
 		return nil
 	}
 	return c.Samples[0].Trace
+}
+
+// TaskTrace returns repetition 0's task trace, or nil, decoding it on
+// the first call like Cell.TaskTrace.
+func (c *MultiCell) TaskTrace() *taskrt.Trace {
+	if c.trace == nil {
+		c.trace, _ = c.PackedTrace().Unpack()
+	}
+	return c.trace
 }
 
 // MultiMatrix is a completed multiprogrammed campaign: the co-run cells

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -254,7 +255,7 @@ func TestRunInterruptedThenResumes(t *testing.T) {
 	want.EachCell(func(c *Cell) {
 		g := got.Cell(c.Bench, c.Kind)
 		for r := range c.Samples {
-			if c.Samples[r] != g.Samples[r] {
+			if !reflect.DeepEqual(c.Samples[r], g.Samples[r]) {
 				t.Fatalf("%s/%v rep %d: resumed run diverged from uninterrupted reference",
 					c.Bench, c.Kind, r)
 			}
@@ -299,7 +300,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("cell %d shape differs: %s/%v vs %s/%v", i, s.Bench, s.Kind, p.Bench, p.Kind)
 		}
 		for r := range s.Samples {
-			if s.Samples[r] != p.Samples[r] {
+			if !reflect.DeepEqual(s.Samples[r], p.Samples[r]) {
 				t.Fatalf("%s/%v rep %d diverged:\nseq: %+v\npar: %+v",
 					s.Bench, s.Kind, r, s.Samples[r], p.Samples[r])
 			}
@@ -337,7 +338,7 @@ func TestRunCellParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := range seq.Samples {
-		if seq.Samples[r] != par.Samples[r] {
+		if !reflect.DeepEqual(seq.Samples[r], par.Samples[r]) {
 			t.Fatalf("rep %d diverged: %+v vs %+v", r, seq.Samples[r], par.Samples[r])
 		}
 	}

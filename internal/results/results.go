@@ -17,8 +17,10 @@ import (
 	"github.com/ilan-sched/ilan/internal/taskrt"
 )
 
-// FormatVersion identifies the file schema.
-const FormatVersion = 1
+// FormatVersion identifies the file schema. Version 2 stores task
+// traces packed (taskrt.PackedTrace, a base64 string); Read still accepts
+// version 1 files, whose traces are JSON objects, and packs them.
+const FormatVersion = 2
 
 // File is a persisted campaign.
 type File struct {
@@ -47,9 +49,9 @@ type MultiCell struct {
 	// Obs is the cell's merged observability snapshot (metrics campaigns
 	// only); decision traces are tagged per program.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
-	// Trace is repetition 0's task-event trace (tracing campaigns only),
-	// with task events tagged per program.
-	Trace *taskrt.Trace `json:"trace,omitempty"`
+	// Trace is repetition 0's packed task-event trace (tracing campaigns
+	// only), with task events tagged per program.
+	Trace taskrt.PackedTrace `json:"trace,omitempty"`
 }
 
 // MultiProgram is one co-running program's per-repetition outcomes.
@@ -73,10 +75,11 @@ type Cell struct {
 	// decision trace concatenated in repetition order. Present only when
 	// the campaign ran with metrics enabled.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
-	// Trace is repetition 0's full task-event trace (deterministic for a
-	// given seed regardless of Jobs). Present only when the campaign ran
-	// with task tracing enabled; obsdump's perfetto exporter reads it.
-	Trace *taskrt.Trace `json:"trace,omitempty"`
+	// Trace is repetition 0's full task-event trace, packed
+	// (deterministic for a given seed regardless of Jobs). Present only
+	// when the campaign ran with task tracing enabled; obsdump's perfetto
+	// exporter decodes it.
+	Trace taskrt.PackedTrace `json:"trace,omitempty"`
 	// Attr is the cell's merged virtual-time attribution report (DESIGN.md
 	// §14). Campaigns write it to a sidecar file (ilanexp -attr) rather
 	// than into -out, so the main results file is byte-identical with and
@@ -99,7 +102,7 @@ func FromMatrix(mx *harness.Matrix, cfg harness.Config, label string) *File {
 	}
 	mx.EachCell(func(c *harness.Cell) {
 		cell := Cell{Bench: c.Bench, Kind: c.Kind.String(), Obs: c.MergedObs(),
-			Trace: c.TaskTrace()}
+			Trace: c.PackedTrace()}
 		for _, s := range c.Samples {
 			cell.Times = append(cell.Times, s.ElapsedSec)
 			cell.Overheads = append(cell.Overheads, s.OverheadSec)
@@ -123,7 +126,7 @@ func FromMulti(mm *harness.MultiMatrix, cfg harness.Config, label string) *File 
 			continue
 		}
 		mc := MultiCell{Kind: k.String(), Elapsed: c.Elapsed(),
-			Obs: c.MergedObs(), Trace: c.TaskTrace()}
+			Obs: c.MergedObs(), Trace: c.PackedTrace()}
 		if len(c.Samples) > 0 {
 			for pi, p := range c.Samples[0].Programs {
 				mp := MultiProgram{Program: p.Program, Bench: p.Bench}
@@ -217,16 +220,19 @@ func (f *File) Write(w io.Writer) error {
 	return enc.Encode(f)
 }
 
-// Read parses and validates a results file.
+// Read parses and validates a results file. A version 1 file is read
+// into the current form: its traces are packed and its Version becomes
+// FormatVersion, so writing it back gives the version 2 file.
 func Read(r io.Reader) (*File, error) {
 	var f File
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
-	if f.Version != FormatVersion {
-		return nil, fmt.Errorf("results: unsupported version %d (want %d)", f.Version, FormatVersion)
+	if f.Version != 1 && f.Version != FormatVersion {
+		return nil, fmt.Errorf("results: unsupported version %d (want 1 or %d)", f.Version, FormatVersion)
 	}
+	f.Version = FormatVersion
 	seen := map[string]bool{}
 	for _, c := range f.Cells {
 		key := c.Bench + "/" + c.Kind

@@ -68,6 +68,9 @@ type Runtime struct {
 	occ    Occupancy
 	energy machine.EnergyModel
 	trace  *Trace
+	// traceExecs counts each loop's executions while tracing is on; a
+	// traced execution is stamped with its 1-based ordinal.
+	traceExecs map[int]int
 
 	// probe is the attached lifecycle observer (nil = off, the default).
 	// Every use is nil-guarded; see probe.go for the overhead contract.
@@ -295,7 +298,8 @@ func (rt *Runtime) SubmitLoop(spec *LoopSpec, done func(*LoopStats)) {
 	le.st.ActiveThreads = len(plan.Active)
 	le.execBufs = rt.takeBufs()
 	if rt.trace != nil {
-		le.exec = rt.trace.beginLoop(spec)
+		rt.traceExecs[spec.ID]++
+		le.exec = rt.traceExecs[spec.ID]
 	}
 	le.startCtrs = rt.mach.Counters()
 	rt.execs = append(rt.execs, le)

@@ -70,8 +70,6 @@ type Trace struct {
 	// (bandwidth and queue-depth counter tracks). Populated only while
 	// tracing is enabled, so the hot path pays nothing when it is off.
 	Resources []ResSample `json:"resources,omitempty"`
-
-	execCount map[int]int
 }
 
 // EnableTracing turns on task-event recording. Call before running a
@@ -81,7 +79,8 @@ type Trace struct {
 // here changes no other observable.
 func (rt *Runtime) EnableTracing() *Trace {
 	if rt.trace == nil {
-		rt.trace = &Trace{execCount: make(map[int]int)}
+		rt.trace = &Trace{}
+		rt.traceExecs = make(map[int]int)
 		rt.mach.EnableAttr()
 	}
 	return rt.trace
@@ -89,11 +88,6 @@ func (rt *Runtime) EnableTracing() *Trace {
 
 // Trace returns the active trace, or nil when tracing is off.
 func (rt *Runtime) Trace() *Trace { return rt.trace }
-
-func (tr *Trace) beginLoop(spec *LoopSpec) int {
-	tr.execCount[spec.ID]++
-	return tr.execCount[spec.ID]
-}
 
 // WriteJSON emits the trace as a single JSON document.
 func (tr *Trace) WriteJSON(w io.Writer) error {
