@@ -28,14 +28,11 @@ import (
 	"time"
 
 	"github.com/ilan-sched/ilan/internal/cellcache"
-	"github.com/ilan-sched/ilan/internal/chrometrace"
 	"github.com/ilan-sched/ilan/internal/fsatomic"
 	"github.com/ilan-sched/ilan/internal/harness"
 	"github.com/ilan-sched/ilan/internal/machine"
-	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/obsserve"
 	"github.com/ilan-sched/ilan/internal/results"
-	"github.com/ilan-sched/ilan/internal/taskrt"
 	"github.com/ilan-sched/ilan/internal/topology"
 	"github.com/ilan-sched/ilan/internal/workloads"
 )
@@ -297,12 +294,7 @@ func main() {
 	}()
 
 	if *in != "" {
-		f, err := os.Open(*in)
-		if err != nil {
-			die(1, err)
-		}
-		saved, err := results.Read(f)
-		f.Close()
+		saved, err := results.ReadFile(*in)
 		if err != nil {
 			die(1, err)
 		}
@@ -392,31 +384,21 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s written to %s\n", what, path)
 		}
 	}
-	if *out != "" {
+	// The Perfetto export is the results file's pick: its first traced
+	// ILAN cell (a co-run campaign's solo reference cells carry no trace).
+	if *out != "" || *perfetto != "" {
 		var file *results.File
 		if mm != nil {
 			file = results.FromMulti(mm, cfg, *label)
 		} else {
 			file = results.FromMatrix(mx, cfg, *label)
 		}
-		save(*out, "campaign", file.Write)
-	}
-	if *perfetto != "" {
-		var traced []tracedCell
-		if mm != nil {
-			for _, k := range mm.Kinds {
-				if c := mm.Cells[k]; c != nil && len(c.PackedTrace()) > 0 {
-					traced = append(traced, tracedCell{k, c.PackedTrace(), c.Samples[0].Obs})
-				}
-			}
-		} else {
-			mx.EachCell(func(c *harness.Cell) {
-				if len(c.PackedTrace()) > 0 {
-					traced = append(traced, tracedCell{c.Kind, c.PackedTrace(), c.Samples[0].Obs})
-				}
-			})
+		if *out != "" {
+			save(*out, "campaign", file.Write)
 		}
-		save(*perfetto, "perfetto trace", func(w io.Writer) error { return writePerfetto(w, traced) })
+		if *perfetto != "" {
+			save(*perfetto, "perfetto trace", func(w io.Writer) error { return file.WritePerfetto(w, "") })
+		}
 	}
 	if *attrOut != "" {
 		// The attribution report is a sidecar results.File (attr-only
@@ -449,39 +431,4 @@ func report(exp string, mx *harness.Matrix, chart bool) {
 			die(1, err)
 		}
 	}
-}
-
-// tracedCell is rep 0 of one traced cell, as the Perfetto export draws it.
-type tracedCell struct {
-	kind  harness.Kind
-	trace taskrt.PackedTrace
-	obs   *obs.Snapshot
-}
-
-// writePerfetto exports one cell's rep-0 task trace as Chrome trace-event
-// JSON. The ILAN cell is the interesting one (phase transitions,
-// yellow/green stealing); fall back to the first traced cell when the
-// campaign ran without ILAN. Only the exported trace is decoded. A co-run
-// trace's per-program tags group each co-runner under its own process
-// track.
-func writePerfetto(w io.Writer, cells []tracedCell) error {
-	if len(cells) == 0 {
-		return fmt.Errorf("no task trace recorded (internal error: -perfetto should imply tracing)")
-	}
-	pick := cells[0]
-	for _, c := range cells {
-		if c.kind == harness.KindILAN {
-			pick = c
-			break
-		}
-	}
-	var decisions []obs.Decision
-	if pick.obs != nil {
-		decisions = pick.obs.Decisions
-	}
-	trace, err := pick.trace.Unpack()
-	if err != nil {
-		return err
-	}
-	return chrometrace.Write(w, trace, decisions, chrometrace.Options{})
 }

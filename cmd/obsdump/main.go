@@ -2,7 +2,8 @@
 // campaign file (ilanexp -metrics -out). It lists which cells carry
 // metrics, and renders one cell's snapshot as a human summary, Prometheus
 // text, a folded-stacks profile (flamegraph input), the raw ILAN decision
-// trace, or JSON.
+// trace, or JSON. A cell is named bench/kind (CG/ilan), or scenario/kind
+// (CG+FT/ilan) for a co-run cell of an ilanexp -exp multi campaign.
 //
 // Usage:
 //
@@ -12,6 +13,7 @@
 //	obsdump -in results.json -cell CG/ilan -format decisions   # + PTT summary
 //	obsdump -in results.json -cell CG/ilan -format folded > cg.folded
 //	obsdump -in results.json -cell CG/ilan perfetto > cg.trace.json
+//	obsdump -in corun.json -cell CG+FT/ilan perfetto > corun.trace.json
 //	obsdump -in attr.json attr                         # attribution tables
 //	obsdump -in attr.json -cell CG/ilan attr           # one cell, with loops
 //
@@ -36,14 +38,13 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"slices"
-	"sort"
 
-	"github.com/ilan-sched/ilan/internal/chrometrace"
 	"github.com/ilan-sched/ilan/internal/ilan"
 	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/results"
@@ -52,7 +53,7 @@ import (
 
 func main() {
 	in := flag.String("in", "", "campaign JSON written by ilanexp -metrics -out (required)")
-	cell := flag.String("cell", "", "cell to dump, as bench/kind (e.g. CG/ilan); empty lists cells")
+	cell := flag.String("cell", "", "cell to dump, as bench/kind (e.g. CG/ilan) or co-run scenario/kind (e.g. CG+FT/ilan); empty lists cells")
 	format := flag.String("format", "summary", "output: summary|prom|folded|decisions|json|perfetto|attr")
 	flag.Parse()
 
@@ -80,13 +81,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	f, err := os.Open(*in)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "obsdump:", err)
-		os.Exit(1)
-	}
-	file, err := results.Read(f)
-	f.Close()
+	file, err := results.ReadFile(*in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "obsdump:", err)
 		os.Exit(1)
@@ -105,32 +100,20 @@ func main() {
 		listCells(file)
 		return
 	}
-	var target *results.Cell
-	for i := range file.Cells {
-		c := &file.Cells[i]
-		if c.Bench+"/"+c.Kind == *cell {
-			target = c
-			break
-		}
-	}
+	target := file.View(*cell)
 	if target == nil {
 		fmt.Fprintf(os.Stderr, "obsdump: no cell %q in %s (try obsdump -in %s to list)\n", *cell, *in, *in)
 		os.Exit(1)
 	}
-	if *format == "perfetto" {
-		if err := writePerfetto(target); err != nil {
-			fmt.Fprintln(os.Stderr, "obsdump:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	snap := target.Obs
-	if snap == nil {
+	if snap == nil && *format != "perfetto" {
 		fmt.Fprintf(os.Stderr, "obsdump: cell %q has no observability data (rerun the campaign with -metrics)\n", *cell)
 		os.Exit(1)
 	}
 
 	switch *format {
+	case "perfetto":
+		err = file.WritePerfetto(os.Stdout, *cell)
 	case "prom":
 		err = snap.WritePrometheus(os.Stdout)
 	case "folded":
@@ -148,38 +131,15 @@ func main() {
 	}
 }
 
-// writePerfetto converts the cell's rep-0 task trace (plus its rep-0
-// decisions, when recorded) to Chrome trace-event JSON on stdout.
-func writePerfetto(c *results.Cell) error {
-	if len(c.Trace) == 0 {
-		return fmt.Errorf("cell %s/%s has no task trace (rerun the campaign with ilanexp -perfetto, or any tracing config)", c.Bench, c.Kind)
-	}
-	trace, err := c.Trace.Unpack()
-	if err != nil {
-		return fmt.Errorf("cell %s/%s: %w", c.Bench, c.Kind, err)
-	}
-	var decisions []obs.Decision
-	if c.Obs != nil {
-		for _, d := range c.Obs.Decisions {
-			if d.Rep == 0 {
-				decisions = append(decisions, d)
-			}
-		}
-	}
-	return chrometrace.Write(os.Stdout, trace, decisions, chrometrace.Options{})
-}
-
 func listCells(file *results.File) {
 	fmt.Printf("%-24s %6s %10s %10s %10s\n", "cell", "runs", "counters", "gauges", "decisions")
-	for i := range file.Cells {
-		c := &file.Cells[i]
-		name := c.Bench + "/" + c.Kind
-		if c.Obs == nil {
-			fmt.Printf("%-24s %s\n", name, "(no observability data)")
+	for _, v := range file.Views() {
+		if v.Obs == nil {
+			fmt.Printf("%-24s %s\n", v.Name, "(no observability data)")
 			continue
 		}
-		fmt.Printf("%-24s %6d %10d %10d %10d\n", name,
-			c.Obs.Runs, len(c.Obs.Counters), len(c.Obs.Gauges), c.Obs.DecisionsTotal)
+		fmt.Printf("%-24s %6d %10d %10d %10d\n", v.Name,
+			v.Obs.Runs, len(v.Obs.Counters), len(v.Obs.Gauges), v.Obs.DecisionsTotal)
 	}
 }
 
@@ -190,12 +150,7 @@ func writeSummary(name string, s *obs.Snapshot) error {
 			return
 		}
 		fmt.Printf("\n%s:\n", title)
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(m) {
 			fmt.Printf("  %-48s %g\n", k, m[k])
 		}
 	}
@@ -203,12 +158,7 @@ func writeSummary(name string, s *obs.Snapshot) error {
 	dump("gauges (averaged over runs)", s.Gauges)
 	if len(s.Histograms) > 0 {
 		fmt.Printf("\nhistograms:\n")
-		keys := make([]string, 0, len(s.Histograms))
-		for k := range s.Histograms {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(s.Histograms) {
 			h := s.Histograms[k]
 			mean := 0.0
 			if h.Count > 0 {
@@ -247,21 +197,14 @@ func writeDecisions(s *obs.Snapshot) error {
 
 	// The PTT summary folds repetition 0's decisions back into the
 	// per-loop view the live scheduler had at the end of that run.
-	var rep0 []obs.Decision
-	var ids []int
-	for _, d := range s.Decisions {
-		if d.Rep != 0 {
-			continue
-		}
-		rep0 = append(rep0, d)
-		if !slices.Contains(ids, d.LoopID) {
-			ids = append(ids, d.LoopID)
-		}
+	rep0 := s.Rep0Decisions()
+	loops := map[int]bool{}
+	for _, d := range rep0 {
+		loops[d.LoopID] = true
 	}
-	sort.Ints(ids)
 	ptt, _ := ilan.FoldDecisions(rep0)
 	fmt.Printf("\nPTT summary (rep 0; scores in the objective's unit):\n")
-	for _, id := range ids {
+	for _, id := range sortedKeys(loops) {
 		cfg, phase, _ := ptt.ChosenConfig(id)
 		fmt.Printf("loop %-5d phase=%-10s chosen=%v", id, phase, cfg)
 		if extra, mean, ok := ptt.Regret(id); ok {
@@ -271,12 +214,7 @@ func writeDecisions(s *obs.Snapshot) error {
 		}
 		fmt.Println()
 		tried := ptt.TriedConfigs(id)
-		threads := make([]int, 0, len(tried))
-		for th := range tried {
-			threads = append(threads, th)
-		}
-		sort.Ints(threads)
-		for _, th := range threads {
+		for _, th := range sortedKeys(tried) {
 			fmt.Printf("    threads=%-3d mean=%.6g\n", th, tried[th])
 		}
 	}
@@ -290,16 +228,11 @@ func writeDecisions(s *obs.Snapshot) error {
 // With a cell named it adds that cell's per-resource interference split
 // and per-loop makespan decomposition.
 func writeAttr(file *results.File, cellName string) error {
-	var cells []*results.Cell
-	for i := range file.Cells {
-		c := &file.Cells[i]
-		if c.Attr == nil {
-			continue
+	var cells []results.View
+	for _, v := range file.Views() {
+		if v.Attr != nil && (cellName == "" || v.Name == cellName) {
+			cells = append(cells, v)
 		}
-		if cellName != "" && c.Bench+"/"+c.Kind != cellName {
-			continue
-		}
-		cells = append(cells, c)
 	}
 	if len(cells) == 0 {
 		if cellName != "" {
@@ -314,7 +247,7 @@ func writeAttr(file *results.File, cellName string) error {
 	for _, c := range cells {
 		t := c.Attr.Task
 		fmt.Printf("%-24s %8d %12.6g %12.6g %12.6g %12.6g %+12.6g %12.6g %12.3g\n",
-			c.Bench+"/"+c.Kind, t.Tasks, t.ElapsedSec, t.IdealComputeSec,
+			c.Name, t.Tasks, t.ElapsedSec, t.IdealComputeSec,
 			t.CoreSpeedSec, t.IdealMemorySec, t.LocalitySec, t.InterferenceSec, t.ResidualSec)
 	}
 
@@ -327,7 +260,7 @@ func writeAttr(file *results.File, cellName string) error {
 	interf := make([]float64, 0, len(cells))
 	locality := make([]float64, 0, len(cells))
 	for _, c := range cells {
-		rows = append(rows, c.Bench+"/"+c.Kind)
+		rows = append(rows, c.Name)
 		interf = append(interf, c.Attr.Task.InterferenceSec)
 		locality = append(locality, math.Max(0, c.Attr.Task.LocalitySec))
 	}
@@ -346,38 +279,37 @@ func writeAttr(file *results.File, cellName string) error {
 		fmt.Printf("\n(no positive interference/locality terms to plot)\n")
 	}
 
-	for _, c := range cells {
-		if cellName == "" {
-			continue
+	if cellName == "" {
+		return nil
+	}
+	a := cells[0].Attr // the named cell, the only one in cells
+	if len(a.Interference) > 0 {
+		fmt.Printf("\ninterference stall by bottleneck resource:\n")
+		for _, n := range sortedKeys(a.Interference) {
+			fmt.Printf("  %-24s %12.6g s\n", n, a.Interference[n])
 		}
-		if len(c.Attr.Interference) > 0 {
-			fmt.Printf("\ninterference stall by bottleneck resource:\n")
-			names := make([]string, 0, len(c.Attr.Interference))
-			for n := range c.Attr.Interference {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				fmt.Printf("  %-24s %12.6g s\n", n, c.Attr.Interference[n])
-			}
-		}
-		if len(c.Attr.Loops) > 0 {
-			fmt.Printf("\nloop makespan attribution (core-seconds):\n\n")
-			fmt.Printf("%-16s %6s %10s %12s %12s %12s %12s %12s %12s %12s %12s\n",
-				"loop", "execs", "mean(ms)", "core", "select", "task", "steal", "imbal", "barrier", "qwait", "residual")
-			names := make([]string, 0, len(c.Attr.Loops))
-			for n := range c.Attr.Loops {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				l := c.Attr.Loops[n]
-				fmt.Printf("%-16s %6d %10.4f %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.3g\n",
-					n, l.Executions, 1e3*l.MakespanSec/float64(l.Executions),
-					l.CoreSec, l.SelectSec, l.TaskSec, l.StealSec,
-					l.ImbalanceSec, l.BarrierSec, l.QueueWaitSec, l.ResidualSec)
-			}
+	}
+	if len(a.Loops) > 0 {
+		fmt.Printf("\nloop makespan attribution (core-seconds):\n\n")
+		fmt.Printf("%-16s %6s %10s %12s %12s %12s %12s %12s %12s %12s %12s\n",
+			"loop", "execs", "mean(ms)", "core", "select", "task", "steal", "imbal", "barrier", "qwait", "residual")
+		for _, n := range sortedKeys(a.Loops) {
+			l := a.Loops[n]
+			fmt.Printf("%-16s %6d %10.4f %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.6g %12.3g\n",
+				n, l.Executions, 1e3*l.MakespanSec/float64(l.Executions),
+				l.CoreSec, l.SelectSec, l.TaskSec, l.StealSec,
+				l.ImbalanceSec, l.BarrierSec, l.QueueWaitSec, l.ResidualSec)
 		}
 	}
 	return nil
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -1,8 +1,11 @@
 // Command resultdiff compares two persisted experiment campaigns (written
-// with `ilanexp -out`) and reports cells whose mean execution time,
-// scheduling overhead, or selected thread count moved by more than the
-// tolerance — the regression gate for changes to the simulator, runtime,
-// or scheduler.
+// with `ilanexp -out`) and reports cells whose means moved by more than
+// the tolerance — the regression gate for changes to the simulator,
+// runtime, or scheduler. A solo cell (bench/kind) is gated on its mean
+// execution time, scheduling overhead and selected thread count; a co-run
+// cell of an `-exp multi` campaign (scenario/kind, e.g. CG+FT/ilan) on
+// its workload elapsed time and each program's mean arrival, start and
+// makespan.
 //
 // Usage:
 //
@@ -39,18 +42,12 @@ func main() {
 		os.Exit(2)
 	}
 	load := func(path string) *results.File {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "resultdiff:", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		r, err := results.Read(f)
+		f, err := results.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "resultdiff: %s: %v\n", path, err)
 			os.Exit(2)
 		}
-		return r
+		return f
 	}
 	before := load(flag.Arg(0))
 	after := load(flag.Arg(1))
@@ -61,13 +58,12 @@ func main() {
 		obsDiffs = results.CompareObs(before, after, *obsTol)
 	}
 	if len(diffs) == 0 && len(obsDiffs) == 0 {
+		gate := ""
 		if *obsGate {
-			fmt.Printf("no differences beyond %.1f%% tolerance (%d cells compared, obs gate on)\n",
-				*tol*100, len(before.Cells))
-		} else {
-			fmt.Printf("no differences beyond %.1f%% tolerance (%d cells compared)\n",
-				*tol*100, len(before.Cells))
+			gate = ", obs gate on"
 		}
+		fmt.Printf("no differences beyond %.1f%% tolerance (%d cells compared%s)\n",
+			*tol*100, len(before.Views()), gate)
 		return
 	}
 	if len(diffs) > 0 {

@@ -31,34 +31,88 @@ import (
 	"github.com/ilan-sched/ilan/internal/taskrt"
 )
 
-// Options tunes the export. The zero value derives everything from the
-// trace itself.
-type Options struct {
-	// Cores is the number of core tracks to emit. 0 = highest core index
-	// seen in the trace + 1.
-	Cores int
-	// NodeOfCore maps a core to its NUMA node for track naming. nil = use
-	// the node recorded on each core's first task event.
-	NodeOfCore func(core int) int
-	// Process names the single emitted process track (default "ilan-sim").
-	Process string
-}
+// Options is Write's settings argument. The export takes no settings —
+// core count, node names and process names all derive from the trace —
+// so callers pass the zero value.
+type Options struct{}
 
 // event is one trace-event JSON object. Fields are emitted in the fixed
-// order below; absent optional fields are dropped via omitempty.
+// order below; absent optional fields are dropped via omitempty. Args
+// holds one of the arg structs below, or nil.
 type event struct {
-	Name  string         `json:"name"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Cat   string         `json:"cat,omitempty"`
-	ID    int            `json:"id,omitempty"`
-	BP    string         `json:"bp,omitempty"`
-	S     string         `json:"s,omitempty"`
-	Cname string         `json:"cname,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+	Name  string  `json:"name"`
+	Ph    string  `json:"ph"`
+	Ts    float64 `json:"ts"`
+	Dur   float64 `json:"dur,omitempty"`
+	Pid   int     `json:"pid"`
+	Tid   int     `json:"tid"`
+	Cat   string  `json:"cat,omitempty"`
+	ID    int     `json:"id,omitempty"`
+	BP    string  `json:"bp,omitempty"`
+	S     string  `json:"s,omitempty"`
+	Cname string  `json:"cname,omitempty"`
+	Args  any     `json:"args,omitempty"`
+}
+
+// The arg structs declare their fields in byte order of the JSON keys,
+// the order encoding/json sorts a map's keys in, so the export reads as
+// if each args object were a map — without boxing every value of every
+// task event.
+
+// taskArgs are a task slice's args: its iteration range, steal and
+// strictness flags, and the attribution breakdown of its duration
+// (DESIGN.md §14), shown in the Perfetto slice-details pane. Tracing
+// always enables machine attribution, so these args appear in every
+// exported trace — which keeps the export byte-identical with -attr on
+// or off.
+type taskArgs struct {
+	CoreSpeedSec    float64 `json:"coreSpeedSec"`
+	Exec            int     `json:"exec"`
+	From            int     `json:"from"`
+	Hi              int     `json:"hi"`
+	IdealMemSec     float64 `json:"idealMemSec"`
+	IdealSec        float64 `json:"idealSec"`
+	InterferenceSec float64 `json:"interferenceSec"`
+	Lo              int     `json:"lo"`
+	LocalitySec     float64 `json:"localitySec"`
+	Loop            int     `json:"loop"`
+	Remote          bool    `json:"remote"`
+	Stolen          bool    `json:"stolen"`
+	Strict          bool    `json:"strict"`
+}
+
+// phaseArgs are a phase-change instant's args.
+type phaseArgs struct {
+	K         int    `json:"k"`
+	Loop      int    `json:"loop"`
+	Phase     string `json:"phase"`
+	StealFull bool   `json:"stealFull"`
+	Threads   int    `json:"threads"`
+}
+
+// stealArgs are a steal-policy-flip instant's args.
+type stealArgs struct {
+	K         int  `json:"k"`
+	Loop      int  `json:"loop"`
+	StealFull bool `json:"stealFull"`
+}
+
+// bandwidthArgs and loadArgs are the counter tracks' args.
+type bandwidthArgs struct {
+	GBs float64 `json:"GB/s"`
+}
+
+type loadArgs struct {
+	Load float64 `json:"load"`
+}
+
+// nameArgs and sortArgs are the metadata events' args.
+type nameArgs struct {
+	Name string `json:"name"`
+}
+
+type sortArgs struct {
+	SortIndex int `json:"sort_index"`
 }
 
 type doc struct {
@@ -68,6 +122,8 @@ type doc struct {
 
 const (
 	pid = 1
+	// process names the top-level process track.
+	process = "ilan-sim"
 	// usec converts virtual seconds to trace-event microseconds.
 	usec = 1e6
 	// cnameStrict / cnameStealable are Chrome trace colors: strict
@@ -78,14 +134,11 @@ const (
 
 // Write emits the trace as Chrome trace-event JSON. decisions may be nil
 // (no scheduler instant events); the trace must be non-nil.
-func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options) error {
+func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, _ Options) error {
 	if tr == nil {
 		return fmt.Errorf("chrometrace: nil trace")
 	}
-	if opts.Process == "" {
-		opts.Process = "ilan-sim"
-	}
-	cores := opts.Cores
+	cores := 0
 	nodeOf := make(map[int]int)
 	for _, t := range tr.Tasks {
 		if t.Core >= cores {
@@ -94,12 +147,6 @@ func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options
 		if _, ok := nodeOf[t.Core]; !ok {
 			nodeOf[t.Core] = t.Node
 		}
-	}
-	nodeName := func(core int) int {
-		if opts.NodeOfCore != nil {
-			return opts.NodeOfCore(core)
-		}
-		return nodeOf[core] // 0 for cores that never ran a task
 	}
 	schedTid := cores // dedicated track after the last core
 
@@ -126,21 +173,22 @@ func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options
 	// scheduler instant-event track. Multiprogram traces repeat the core
 	// tracks under each program's process.
 	evs = append(evs, event{Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]any{"name": opts.Process}})
+		Args: nameArgs{process}})
 	for i, prog := range programs {
 		evs = append(evs,
 			event{Name: "process_name", Ph: "M", Pid: pidOf[prog],
-				Args: map[string]any{"name": opts.Process + "/" + prog}},
+				Args: nameArgs{process + "/" + prog}},
 			event{Name: "process_sort_index", Ph: "M", Pid: pidOf[prog],
-				Args: map[string]any{"sort_index": i + 1}})
+				Args: sortArgs{i + 1}})
 	}
 	coreTracks := func(p int) {
 		for c := 0; c < cores; c++ {
 			evs = append(evs,
 				event{Name: "thread_name", Ph: "M", Pid: p, Tid: c,
-					Args: map[string]any{"name": fmt.Sprintf("core %d (node %d)", c, nodeName(c))}},
+					// nodeOf gives 0 for cores that never ran a task.
+					Args: nameArgs{fmt.Sprintf("core %d (node %d)", c, nodeOf[c])}},
 				event{Name: "thread_sort_index", Ph: "M", Pid: p, Tid: c,
-					Args: map[string]any{"sort_index": c}})
+					Args: sortArgs{c}})
 		}
 	}
 	if len(programs) == 0 {
@@ -151,9 +199,9 @@ func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options
 	}
 	evs = append(evs,
 		event{Name: "thread_name", Ph: "M", Pid: pid, Tid: schedTid,
-			Args: map[string]any{"name": "scheduler"}},
+			Args: nameArgs{"scheduler"}},
 		event{Name: "thread_sort_index", Ph: "M", Pid: pid, Tid: schedTid,
-			Args: map[string]any{"sort_index": schedTid}})
+			Args: sortArgs{schedTid}})
 
 	// Task slices + steal flows. Flow ids are per-steal; the "s" end sits
 	// on the victim's track at the slice start time, the "f" end binds to
@@ -164,26 +212,17 @@ func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options
 		if t.Strict {
 			cname = cnameStrict
 		}
-		args := map[string]any{
-			"loop": t.LoopID, "exec": t.Exec, "lo": t.Lo, "hi": t.Hi,
-			"stolen": t.Stolen, "remote": t.Remote, "strict": t.Strict,
-			"from": t.FromCore,
-		}
-		// Attribution breakdown of the slice (DESIGN.md §14): visible in
-		// the Perfetto slice-details pane. Tracing always enables machine
-		// attribution, so these args appear in every exported trace —
-		// which keeps the export byte-identical with -attr on or off.
-		args["idealSec"] = t.IdealSec
-		args["coreSpeedSec"] = t.CoreSpeedSec
-		args["idealMemSec"] = t.IdealMemSec
-		args["localitySec"] = t.LocalitySec
-		args["interferenceSec"] = t.InterferenceSec
 		tpid := pidOf[t.Program]
 		evs = append(evs, event{
 			Name: t.LoopName, Ph: "X", Cat: "task",
 			Ts: t.StartSec * usec, Dur: (t.EndSec - t.StartSec) * usec,
 			Pid: tpid, Tid: t.Core, Cname: cname,
-			Args: args,
+			Args: taskArgs{
+				CoreSpeedSec: t.CoreSpeedSec, Exec: t.Exec, From: t.FromCore, Hi: t.Hi,
+				IdealMemSec: t.IdealMemSec, IdealSec: t.IdealSec,
+				InterferenceSec: t.InterferenceSec, Lo: t.Lo, LocalitySec: t.LocalitySec,
+				Loop: t.LoopID, Remote: t.Remote, Stolen: t.Stolen, Strict: t.Strict,
+			},
 		})
 		if t.Remote && t.FromCore >= 0 {
 			// Steals never cross programs (a runtime invariant), so both
@@ -212,8 +251,8 @@ func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options
 				Name: fmt.Sprintf("loop %d → %s", d.LoopID, d.Phase),
 				Ph:   "i", S: "g", Cat: "scheduler",
 				Ts: d.TimeSec * usec, Pid: pid, Tid: schedTid,
-				Args: map[string]any{"loop": d.LoopID, "k": d.K,
-					"phase": d.Phase, "threads": d.Threads, "stealFull": d.StealFull},
+				Args: phaseArgs{K: d.K, Loop: d.LoopID, Phase: d.Phase,
+					StealFull: d.StealFull, Threads: d.Threads},
 			})
 		}
 		if st.seen && st.full != d.StealFull {
@@ -221,7 +260,7 @@ func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options
 				Name: fmt.Sprintf("loop %d steal→%s", d.LoopID, stealName(d.StealFull)),
 				Ph:   "i", S: "g", Cat: "scheduler",
 				Ts: d.TimeSec * usec, Pid: pid, Tid: schedTid,
-				Args: map[string]any{"loop": d.LoopID, "k": d.K, "stealFull": d.StealFull},
+				Args: stealArgs{K: d.K, Loop: d.LoopID, StealFull: d.StealFull},
 			})
 		}
 		last[d.LoopID] = loopState{phase: d.Phase, full: d.StealFull, seen: true}
@@ -236,14 +275,14 @@ func Write(w io.Writer, tr *taskrt.Trace, decisions []obs.Decision, opts Options
 			evs = append(evs, event{
 				Name: fmt.Sprintf("mc bandwidth node %d", s.Node), Ph: "C",
 				Ts: s.TimeSec * usec, Pid: pid, Tid: 0,
-				Args: map[string]any{"GB/s": bw},
+				Args: bandwidthArgs{bw},
 			})
 		}
 		lastBytes[s.Node] = s
 		evs = append(evs, event{
 			Name: fmt.Sprintf("mc queue node %d", s.Node), Ph: "C",
 			Ts: s.TimeSec * usec, Pid: pid, Tid: 0,
-			Args: map[string]any{"load": s.Queue},
+			Args: loadArgs{s.Queue},
 		})
 	}
 

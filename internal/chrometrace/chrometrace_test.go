@@ -2,6 +2,8 @@ package chrometrace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -309,6 +311,33 @@ func TestWriteUntaggedStaysSingleProcess(t *testing.T) {
 	for _, e := range evs {
 		if e.Pid != 1 {
 			t.Fatalf("untagged trace emitted event %q with pid %d, want 1", e.Name, e.Pid)
+		}
+	}
+}
+
+// TestWritePinnedBytes pins the export's bytes: the SHA-256 of Write's
+// output for a solo trace with decisions and for a tagged co-run trace.
+// The hashes were taken when every args object was a map; the typed arg
+// structs must encode exactly as those maps did.
+func TestWritePinnedBytes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tr   *taskrt.Trace
+		ds   []obs.Decision
+		want string
+	}{
+		{"solo", testTrace(), testDecisions(),
+			"2d1633560612d8bbb84ea71ed87de5dcf8208a6bc2b7b732c4b280d7c85ac1e3"},
+		{"multi", testMultiTrace(), nil,
+			"62e646ea771fbd4380e5c7a68cc3be68eabe784fdd3a4673956ba8df6bf6b083"},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, c.tr, c.ds, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: sha256 %s, want %s\n%s", c.name, got, c.want, buf.Bytes())
 		}
 	}
 }

@@ -30,7 +30,7 @@ import (
 //   - noise model, topology spec, disturbance injection,
 //   - machine-model overrides (bandwidths, alpha, beta),
 //   - observability settings that change the stored payload (Metrics,
-//     TraceDecisions, DecisionCap, TraceTasks for rep 0, and Attr — the
+//     TraceDecisions, TraceTasks for rep 0, and Attr — the
 //     attribution report rides inside the cached RunSample),
 //   - for multiprogrammed units (an empty bench), the co-run descriptor
 //     (benchmark list + arrival spread): it determines the whole workload.
@@ -74,7 +74,6 @@ type cacheKeyInputs struct {
 	Beta         *float64            `json:"beta"`
 	Metrics      bool                `json:"metrics"`
 	TraceDecs    bool                `json:"traceDecisions"`
-	DecisionCap  int                 `json:"decisionCap"`
 	TraceTasks   bool                `json:"traceTasks"`
 	Attr         bool                `json:"attr"`
 	// Multi is nil for solo units; for co-run units it is the workload
@@ -112,7 +111,6 @@ func cacheKey(bench, sched string, cfg Config, rep int) string {
 		Beta:         cfg.Beta,
 		Metrics:      cfg.Metrics,
 		TraceDecs:    cfg.TraceDecisions,
-		DecisionCap:  cfg.DecisionCap,
 		TraceTasks:   cfg.TraceTasks && rep == 0,
 		Attr:         cfg.Attr,
 	}

@@ -63,7 +63,6 @@ func TestCacheKeyPerturbation(t *testing.T) {
 		"beta":                func(u *keyUnit) { u.cfg.Beta = &beta },
 		"metrics":             func(u *keyUnit) { u.cfg.Metrics = true },
 		"trace-decisions":     func(u *keyUnit) { u.cfg.TraceDecisions = true },
-		"decision-cap":        func(u *keyUnit) { u.cfg.DecisionCap = 512 },
 		"trace-tasks (rep 0)": func(u *keyUnit) { u.cfg.TraceTasks = true },
 	}
 	mustNotChange := map[string]func(*keyUnit){
@@ -161,7 +160,9 @@ func TestCacheKeyMultiPerturbation(t *testing.T) {
 // never move an existing entry's address. The expected values were
 // computed with the separate solo and co-run key builders this one
 // replaced, then moved once when cellcache.Version (the key's
-// EntryVersion) went from 1 to 2 for packed traces. The config sets both
+// EntryVersion) went from 1 to 2 for packed traces, and once more when
+// the decisionCap field left the key (Config.DecisionCap was removed; the
+// decision ring always has obs.DefaultRingCap slots). The config sets both
 // Attr and Multi on purpose: the solo key must drop Multi and the co-run
 // key must drop Attr.
 func TestCacheKeyPinnedHex(t *testing.T) {
@@ -176,8 +177,8 @@ func TestCacheKeyPinnedHex(t *testing.T) {
 	for _, c := range []struct {
 		unit, bench, want string
 	}{
-		{"solo", "CG", "8b4a4fb940af9846bed7ed596b614f2d2e9e029f393a3793084c50709c613879"},
-		{"co-run", "", "0749c3509ed5070a8a24b7d9e3383889d2a12cf358eb658ca29a2b45b5ed8640"},
+		{"solo", "CG", "1d8600b66aa5429011ac2532e965c600e5129a92de74f92153104344d090df26"},
+		{"co-run", "", "aaaf0a2ef87336587408105d18fad69f38d401f54e558d05ce1d53a3635776da"},
 	} {
 		if got := cacheKey(c.bench, KindILAN.String(), cfg, 1); got != c.want {
 			t.Errorf("%s unit key = %s, want %s", c.unit, got, c.want)
@@ -218,7 +219,7 @@ func TestCacheKeyClassifiesEveryConfigField(t *testing.T) {
 		"Class": true, "Seed": true, "Noise": true, "Topo": true,
 		"Disturb": true, "ControllerBW": true, "LinkBW": true,
 		"CoreStreamBW": true, "Alpha": true, "Beta": true, "Metrics": true,
-		"TraceDecisions": true, "DecisionCap": true, "TraceTasks": true,
+		"TraceDecisions": true, "TraceTasks": true,
 		"Attr": true,
 		// Multi is key-bearing for co-run units (cacheKey with no bench) and
 		// normalized out of solo keys (a solo simulation never reads it).

@@ -112,8 +112,6 @@ type Config struct {
 	// TraceDecisions additionally records every ILAN configuration decision
 	// into the per-run ring buffer (implies Metrics).
 	TraceDecisions bool
-	// DecisionCap sizes the decision ring (0 = obs.DefaultRingCap).
-	DecisionCap int
 	// TraceTasks records the full task-event trace of repetition 0 of every
 	// cell (one traced rep keeps the cost bounded; rep 0 runs identically
 	// for any Jobs setting, so the trace is deterministic). The trace feeds
@@ -325,7 +323,7 @@ func runUnit(name, sched string, newSched func() taskrt.Scheduler, cfg Config, r
 	rt := taskrt.New(m, newSched(), taskrt.DefaultCosts())
 	var orun *obs.Run
 	if cfg.obsEnabled() {
-		orun = obs.NewRun(obs.Options{TraceDecisions: cfg.TraceDecisions, RingCap: cfg.DecisionCap})
+		orun = obs.NewRun(obs.Options{TraceDecisions: cfg.TraceDecisions})
 		rt.SetObs(orun)
 	}
 	var trace *taskrt.Trace

@@ -31,6 +31,21 @@ type Snapshot struct {
 	Profile map[string]float64 `json:"profile,omitempty"`
 }
 
+// Rep0Decisions returns repetition 0's decisions in recording order. It
+// is nil-safe.
+func (s *Snapshot) Rep0Decisions() []Decision {
+	if s == nil {
+		return nil
+	}
+	var out []Decision
+	for _, d := range s.Decisions {
+		if d.Rep == 0 {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // Snapshot exports the run's current state. Nil-safe: a disabled run
 // snapshots to nil.
 func (r *Run) Snapshot() *Snapshot {

@@ -93,6 +93,10 @@ func TestReadRejectsBadMultiFiles(t *testing.T) {
 		"multi cells without corun": func(f *File) { f.CoRun = nil },
 		"duplicate multi kind":      func(f *File) { f.MultiCells = append(f.MultiCells, f.MultiCells[0]) },
 		"empty elapsed":             func(f *File) { f.MultiCells[0].Elapsed = nil },
+		"short makespans": func(f *File) {
+			p := &f.MultiCells[0].Programs[1]
+			p.MakespanSec = p.MakespanSec[:1]
+		},
 	}
 	for name, mut := range cases {
 		t.Run(name, func(t *testing.T) {

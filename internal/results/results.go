@@ -9,8 +9,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
+	"strings"
 
+	"github.com/ilan-sched/ilan/internal/chrometrace"
 	"github.com/ilan-sched/ilan/internal/harness"
 	"github.com/ilan-sched/ilan/internal/obs"
 	"github.com/ilan-sched/ilan/internal/stats"
@@ -88,18 +91,20 @@ type Cell struct {
 	Attr *obs.AttrSnapshot `json:"attr,omitempty"`
 }
 
-// MeanTime returns the cell's mean elapsed seconds.
-func (c *Cell) MeanTime() float64 { return stats.Mean(c.Times) }
-
-// FromMatrix converts a campaign matrix into a persistable file.
-func FromMatrix(mx *harness.Matrix, cfg harness.Config, label string) *File {
-	f := &File{
+// newFile returns an empty file of the campaign cfg describes.
+func newFile(cfg harness.Config, label string) *File {
+	return &File{
 		Version: FormatVersion,
 		Label:   label,
 		Reps:    cfg.Reps,
 		Seed:    cfg.Seed,
 		Class:   cfg.Class.String(),
 	}
+}
+
+// FromMatrix converts a campaign matrix into a persistable file.
+func FromMatrix(mx *harness.Matrix, cfg harness.Config, label string) *File {
+	f := newFile(cfg, label)
 	mx.EachCell(func(c *harness.Cell) {
 		cell := Cell{Bench: c.Bench, Kind: c.Kind.String(), Obs: c.MergedObs(),
 			Trace: c.PackedTrace()}
@@ -166,17 +171,13 @@ func (f *File) ToMultiMatrix() *harness.MultiMatrix {
 		for r := range mc.Elapsed {
 			s := harness.MultiSample{ElapsedSec: mc.Elapsed[r]}
 			for _, mp := range mc.Programs {
-				ps := harness.ProgramSample{Program: mp.Program, Bench: mp.Bench}
-				if r < len(mp.ArrivalSec) {
-					ps.ArrivalSec = mp.ArrivalSec[r]
-				}
-				if r < len(mp.StartSec) {
-					ps.StartSec = mp.StartSec[r]
-				}
-				if r < len(mp.MakespanSec) {
-					ps.MakespanSec = mp.MakespanSec[r]
-				}
-				s.Programs = append(s.Programs, ps)
+				s.Programs = append(s.Programs, harness.ProgramSample{
+					Program:     mp.Program,
+					Bench:       mp.Bench,
+					ArrivalSec:  mp.ArrivalSec[r],
+					StartSec:    mp.StartSec[r],
+					MakespanSec: mp.MakespanSec[r],
+				})
 			}
 			hc.Samples = append(hc.Samples, s)
 		}
@@ -192,13 +193,7 @@ func (f *File) ToMultiMatrix() *harness.MultiMatrix {
 // with attribution enabled. Returns nil when no cell has attribution (the
 // campaign ran without -attr).
 func AttrFromMatrix(mx *harness.Matrix, cfg harness.Config, label string) *File {
-	f := &File{
-		Version: FormatVersion,
-		Label:   label,
-		Reps:    cfg.Reps,
-		Seed:    cfg.Seed,
-		Class:   cfg.Class.String(),
-	}
+	f := newFile(cfg, label)
 	any := false
 	mx.EachCell(func(c *harness.Cell) {
 		cell := Cell{Bench: c.Bench, Kind: c.Kind.String(), Attr: c.MergedAttr()}
@@ -220,6 +215,16 @@ func (f *File) Write(w io.Writer) error {
 	return enc.Encode(f)
 }
 
+// ReadFile reads and validates the results file at path (see Read).
+func ReadFile(path string) (*File, error) {
+	r, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return Read(r)
+}
+
 // Read parses and validates a results file. A version 1 file is read
 // into the current form: its traces are packed and its Version becomes
 // FormatVersion, so writing it back gives the version 2 file.
@@ -233,30 +238,28 @@ func Read(r io.Reader) (*File, error) {
 		return nil, fmt.Errorf("results: unsupported version %d (want 1 or %d)", f.Version, FormatVersion)
 	}
 	f.Version = FormatVersion
-	seen := map[string]bool{}
-	for _, c := range f.Cells {
-		key := c.Bench + "/" + c.Kind
-		if seen[key] {
-			return nil, fmt.Errorf("results: duplicate cell %s", key)
-		}
-		seen[key] = true
-		// Attribution sidecar files carry report-only cells; everything
-		// else must have at least one timing sample.
-		if len(c.Times) == 0 && c.Attr == nil {
-			return nil, fmt.Errorf("results: cell %s has no samples", key)
-		}
-	}
 	if len(f.MultiCells) > 0 && f.CoRun == nil {
 		return nil, fmt.Errorf("results: multi cells without a co-run descriptor")
 	}
-	seenMulti := map[string]bool{}
-	for _, c := range f.MultiCells {
-		if seenMulti[c.Kind] {
-			return nil, fmt.Errorf("results: duplicate multi cell %s", c.Kind)
+	seen := map[string]bool{}
+	for _, v := range f.Views() {
+		if seen[v.Name] {
+			return nil, fmt.Errorf("results: duplicate cell %s", v.Name)
 		}
-		seenMulti[c.Kind] = true
-		if len(c.Elapsed) == 0 {
-			return nil, fmt.Errorf("results: multi cell %s has no samples", c.Kind)
+		seen[v.Name] = true
+		// Attribution sidecar files carry report-only cells; everything
+		// else must have at least one timing sample.
+		if v.Series == nil && v.Attr == nil {
+			return nil, fmt.Errorf("results: cell %s has no samples", v.Name)
+		}
+	}
+	for _, c := range f.MultiCells {
+		for _, p := range c.Programs {
+			if len(p.ArrivalSec) != len(c.Elapsed) || len(p.StartSec) != len(c.Elapsed) ||
+				len(p.MakespanSec) != len(c.Elapsed) {
+				return nil, fmt.Errorf("results: multi cell %s program %s has %d arrivals, %d starts and %d makespans for %d samples",
+					c.Kind, p.Program, len(p.ArrivalSec), len(p.StartSec), len(p.MakespanSec), len(c.Elapsed))
+			}
 		}
 	}
 	return &f, nil
@@ -288,11 +291,146 @@ func (f *File) ToMatrix() *harness.Matrix {
 	return harness.BuildMatrix(cells)
 }
 
-// Diff is one cell-level discrepancy between two campaigns.
-type Diff struct {
+// View is one cell of a results file as every reader sees it: a solo
+// cell or a co-run cell. Compare, CompareObs, WritePerfetto and obsdump
+// all walk a file through Views.
+type View struct {
+	// Name is "bench/kind" for a solo cell and "scenario/kind" for a
+	// co-run cell, e.g. "CG+FT/ilan" (bench names never contain '+'). A
+	// one-program co-run's scenario keeps a trailing '+' ("CG+/ilan"),
+	// so it never shares its solo reference cell's name.
+	Name string
+	// Bench is the solo cell's benchmark or the co-run cell's scenario.
 	Bench string
 	Kind  string
-	// Field is "time", "overhead", or "threads".
+	Obs   *obs.Snapshot
+	Trace taskrt.PackedTrace
+	Attr  *obs.AttrSnapshot
+	// Series holds the cell's numbers as means over its repetitions, by
+	// name: time, overhead and threads for a solo cell; elapsed, and
+	// arrival[P], start[P] and makespan[P] for each program P, for a
+	// co-run cell. Nil for a cell with no samples (an attribution
+	// sidecar's).
+	Series map[string]float64
+}
+
+// Views returns the file's cells in walk order: the solo cells, then the
+// co-run cells, each in file order.
+func (f *File) Views() []View {
+	views := make([]View, 0, len(f.Cells)+len(f.MultiCells))
+	for _, c := range f.Cells {
+		v := View{Name: c.Bench + "/" + c.Kind, Bench: c.Bench, Kind: c.Kind,
+			Obs: c.Obs, Trace: c.Trace, Attr: c.Attr}
+		if len(c.Times) > 0 {
+			v.Series = map[string]float64{
+				"time":     stats.Mean(c.Times),
+				"overhead": stats.Mean(c.Overheads),
+				"threads":  stats.Mean(c.WeightedThreads),
+			}
+		}
+		views = append(views, v)
+	}
+	if len(f.MultiCells) == 0 {
+		return views
+	}
+	scenario := f.CoRun.Scenario()
+	if len(f.CoRun.Benches) == 1 {
+		scenario += "+"
+	}
+	for _, c := range f.MultiCells {
+		v := View{Name: scenario + "/" + c.Kind, Bench: scenario, Kind: c.Kind,
+			Obs: c.Obs, Trace: c.Trace}
+		if len(c.Elapsed) > 0 {
+			v.Series = map[string]float64{"elapsed": stats.Mean(c.Elapsed)}
+			for _, p := range c.Programs {
+				v.Series["arrival["+p.Program+"]"] = stats.Mean(p.ArrivalSec)
+				v.Series["start["+p.Program+"]"] = stats.Mean(p.StartSec)
+				v.Series["makespan["+p.Program+"]"] = stats.Mean(p.MakespanSec)
+			}
+		}
+		views = append(views, v)
+	}
+	return views
+}
+
+// View returns the file's cell named name (see View.Name), or nil.
+func (f *File) View(name string) *View {
+	return index(f)[name]
+}
+
+// index maps each of f's cell names to its view.
+func index(f *File) map[string]*View {
+	views := f.Views()
+	m := make(map[string]*View, len(views))
+	for i := range views {
+		m[views[i].Name] = &views[i]
+	}
+	return m
+}
+
+// pairs visits the union of two files' cell names in sorted order with
+// each name's view in a and in b; a view is nil when its file lacks the
+// cell.
+func pairs(a, b *File, visit func(va, vb *View)) {
+	ia, ib := index(a), index(b)
+	for _, name := range union(ia, ib) {
+		visit(ia[name], ib[name])
+	}
+}
+
+// union returns the keys of a and b in sorted order, each once.
+func union[V any](a, b map[string]V) []string {
+	keys := make([]string, 0, len(a)+len(b))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// diffSeries compares two cells' named values and returns, in name
+// order, an ObsDiff (Metric, Old, New, Rel, What; no Bench or Kind) for
+// each that differs. A name on one side only is "missing" or "new", NaN
+// on the side that lacks it. A NaN on either side is always a diff: NaN
+// drift compares false against any tolerance, so a gate that only checked
+// drift would let a value gone NaN through. Otherwise a value that moved
+// by more than tol, relative to the old one, is a "drift" — unless skip
+// (which may be nil) exempts its name.
+func diffSeries(old, new map[string]float64, tol float64, skip func(string) bool) []ObsDiff {
+	var diffs []ObsDiff
+	for _, name := range union(old, new) {
+		o, inOld := old[name]
+		n, inNew := new[name]
+		switch {
+		case !inNew:
+			diffs = append(diffs, ObsDiff{Metric: name, Old: o, New: math.NaN(), Rel: math.NaN(), What: "missing"})
+		case !inOld:
+			diffs = append(diffs, ObsDiff{Metric: name, Old: math.NaN(), New: n, Rel: math.NaN(), What: "new"})
+		case math.IsNaN(o) || math.IsNaN(n):
+			diffs = append(diffs, ObsDiff{Metric: name, Old: o, New: n, Rel: math.NaN(), What: "nan"})
+		case skip != nil && skip(name), o == 0 && n == 0:
+		default:
+			if rel := (n - o) / math.Abs(o); math.Abs(rel) > tol {
+				diffs = append(diffs, ObsDiff{Metric: name, Old: o, New: n, Rel: rel, What: "drift"})
+			}
+		}
+	}
+	return diffs
+}
+
+// Diff is one cell-level discrepancy between two campaigns.
+type Diff struct {
+	// Bench is the benchmark, or the scenario of a co-run cell.
+	Bench string
+	Kind  string
+	// Field names the compared mean, one of View.Series's names: "time",
+	// "overhead" or "threads" for a solo cell; "elapsed", "arrival[P]",
+	// "start[P]" or "makespan[P]" for a co-run cell.
 	Field string
 	// Old and New are the compared means; Rel the relative change.
 	Old, New, Rel float64
@@ -309,80 +447,32 @@ func (d Diff) String() string {
 		d.Bench, d.Kind, d.Field, d.Old, d.New, 100*d.Rel)
 }
 
-// Compare reports cells whose mean time, overhead, or thread count moved
-// by more than tol (relative). Cells missing from either file are always
-// reported.
+// Compare reports, for solo and co-run cells alike, every mean in
+// View.Series that moved by more than tol (relative) or is NaN. Cells
+// missing from either file are always reported. A mean on one side only
+// compares as NaN on the other, as a mean over no samples would.
 func Compare(a, b *File, tol float64) []Diff {
-	index := func(f *File) map[string]*Cell {
-		m := map[string]*Cell{}
-		for i := range f.Cells {
-			m[f.Cells[i].Bench+"/"+f.Cells[i].Kind] = &f.Cells[i]
-		}
-		return m
-	}
-	ia, ib := index(a), index(b)
-	keys := map[string]bool{}
-	for k := range ia {
-		keys[k] = true
-	}
-	for k := range ib {
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-
 	var diffs []Diff
-	for _, k := range sorted {
-		ca, cb := ia[k], ib[k]
-		if ca == nil || cb == nil {
-			var ref *Cell
-			if ca != nil {
-				ref = ca
-			} else {
-				ref = cb
+	pairs(a, b, func(va, vb *View) {
+		if va == nil || vb == nil {
+			ref := va
+			if ref == nil {
+				ref = vb
 			}
 			diffs = append(diffs, Diff{Bench: ref.Bench, Kind: ref.Kind, Missing: true})
-			continue
-		}
-		check := func(field string, oldV, newV float64) {
-			// NaN is never within tolerance: rel would be NaN and
-			// `NaN > tol` is false, so a cell whose mean went NaN used to
-			// sail through the gate. Any NaN — a NaN/number mismatch or
-			// NaN on both sides — is a diff: a campaign that produces NaN
-			// means at all is broken and must fail the gate loudly.
-			if math.IsNaN(oldV) || math.IsNaN(newV) {
-				diffs = append(diffs, Diff{
-					Bench: ca.Bench, Kind: ca.Kind, Field: field,
-					Old: oldV, New: newV, Rel: math.NaN(),
-				})
-				return
-			}
-			if oldV == 0 && newV == 0 {
-				return
-			}
-			rel := math.Abs(newV-oldV) / math.Max(math.Abs(oldV), 1e-300)
-			if rel > tol {
-				diffs = append(diffs, Diff{
-					Bench: ca.Bench, Kind: ca.Kind, Field: field,
-					Old: oldV, New: newV, Rel: (newV - oldV) / oldV,
-				})
-			}
+			return
 		}
 		// Attribution-only cells (sidecar files) carry no samples on
-		// either side; a mean over zero samples is NaN, which would trip
-		// the NaN gate on files that are merely sample-free, so the timing
-		// checks run only when samples exist at all. A cell with samples
-		// on exactly one side still reaches the gate (NaN vs number) —
-		// that is a real file mismatch.
-		if len(ca.Times) > 0 || len(cb.Times) > 0 {
-			check("time", stats.Mean(ca.Times), stats.Mean(cb.Times))
-			check("overhead", stats.Mean(ca.Overheads), stats.Mean(cb.Overheads))
-			check("threads", stats.Mean(ca.WeightedThreads), stats.Mean(cb.WeightedThreads))
+		// either side and are skipped. A cell with samples on exactly one
+		// side still reaches the NaN gate — that is a real file mismatch.
+		if va.Series == nil && vb.Series == nil {
+			return
 		}
-	}
+		for _, d := range diffSeries(va.Series, vb.Series, tol, nil) {
+			diffs = append(diffs, Diff{Bench: va.Bench, Kind: va.Kind, Field: d.Metric,
+				Old: d.Old, New: d.New, Rel: d.Rel})
+		}
+	})
 	return diffs
 }
 
@@ -392,8 +482,9 @@ type ObsDiff struct {
 	Bench  string
 	Kind   string
 	Metric string
-	// Old and New are the compared values; Rel the relative change (0 when
-	// the metric exists on one side only).
+	// Old and New are the compared values, NaN on a side that lacks the
+	// metric; Rel is the relative change, NaN when either value is NaN or
+	// lacking.
 	Old, New, Rel float64
 	// Kind of discrepancy: "drift" (value moved beyond tolerance),
 	// "missing" (metric present only in the old file), "new" (metric
@@ -423,110 +514,62 @@ func (d ObsDiff) String() string {
 	}
 }
 
-// CompareObs diffs per-cell merged observability snapshots: counter and
-// histogram-count values that moved by more than tol (relative), plus
-// metric names present on only one side. Gauges are compared by name only
-// (their values are per-run averages and legitimately move with timing
-// calibration); counters are the regression surface — a silently vanished
-// steal counter or a doubled phase-transition count fails the gate even
-// when wall-clock times agree. Cells missing a snapshot on exactly one
-// side are reported; cells with no snapshot on either side are skipped
-// (campaign ran without metrics).
+// CompareObs diffs the attribution reports and merged observability
+// snapshots of the cells, solo and co-run, that both files hold (Compare
+// reports the others). Attribution reports are compared term by term;
+// residual terms are NaN-gated but exempt from drift (see
+// isAttrResidual). Snapshots are compared on counter and histogram-count
+// values that moved by more than tol (relative), plus metric names present
+// on only one side. Gauges are compared by name only (their values are
+// per-run averages and legitimately move with timing calibration);
+// counters are the regression surface — a silently vanished steal
+// counter or a doubled phase-transition count fails the gate even when
+// wall-clock times agree. A report or snapshot on exactly one side is
+// reported; on neither side it is skipped (the campaign ran without it).
 func CompareObs(a, b *File, tol float64) []ObsDiff {
-	index := func(f *File) map[string]*Cell {
-		m := map[string]*Cell{}
-		for i := range f.Cells {
-			m[f.Cells[i].Bench+"/"+f.Cells[i].Kind] = &f.Cells[i]
-		}
-		return m
-	}
-	ia, ib := index(a), index(b)
-	keys := make([]string, 0, len(ia))
-	for k := range ia {
-		if ib[k] != nil {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-
 	var diffs []ObsDiff
-	for _, k := range keys {
-		ca, cb := ia[k], ib[k]
-		diffs = append(diffs, compareCellAttr(ca, cb, tol)...)
-		if ca.Obs == nil && cb.Obs == nil {
-			continue
+	pairs(a, b, func(va, vb *View) {
+		if va == nil || vb == nil {
+			return
 		}
-		if ca.Obs == nil || cb.Obs == nil {
-			diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind, What: "no-obs"})
-			continue
+		var ds []ObsDiff
+		switch {
+		case va.Attr == nil && vb.Attr == nil:
+		case va.Attr == nil || vb.Attr == nil:
+			ds = append(ds, ObsDiff{What: "no-attr"})
+		default:
+			ds = diffSeries(attrVals(va.Attr), attrVals(vb.Attr), tol, isAttrResidual)
 		}
-		oldVals := map[string]float64{}
-		newVals := map[string]float64{}
-		for name, v := range ca.Obs.Counters {
-			oldVals[name] = v
+		switch {
+		case va.Obs == nil && vb.Obs == nil:
+		case va.Obs == nil || vb.Obs == nil:
+			ds = append(ds, ObsDiff{What: "no-obs"})
+		default:
+			ds = append(ds, diffSeries(obsVals(va.Obs), obsVals(vb.Obs), tol, nil)...)
 		}
-		for name, v := range cb.Obs.Counters {
-			newVals[name] = v
+		for _, d := range ds {
+			d.Bench, d.Kind = va.Bench, va.Kind
+			diffs = append(diffs, d)
 		}
-		for name, h := range ca.Obs.Histograms {
-			oldVals[name+"_count"] = float64(h.Count)
-		}
-		for name, h := range cb.Obs.Histograms {
-			newVals[name+"_count"] = float64(h.Count)
-		}
-		// Gauges participate in the name universe only (see doc comment).
-		for name := range ca.Obs.Gauges {
-			if _, ok := cb.Obs.Gauges[name]; !ok {
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, What: "missing"})
-			}
-		}
-		for name := range cb.Obs.Gauges {
-			if _, ok := ca.Obs.Gauges[name]; !ok {
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, What: "new"})
-			}
-		}
-		names := make([]string, 0, len(oldVals)+len(newVals))
-		for name := range oldVals {
-			names = append(names, name)
-		}
-		for name := range newVals {
-			if _, ok := oldVals[name]; !ok {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			oldV, inOld := oldVals[name]
-			newV, inNew := newVals[name]
-			switch {
-			case !inNew:
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, Old: oldV, What: "missing"})
-			case !inOld:
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, New: newV, What: "new"})
-			case math.IsNaN(oldV) || math.IsNaN(newV):
-				// Same NaN gate as Compare: NaN relative drift compares
-				// false against any tolerance, so without this branch a
-				// counter gone NaN would silently pass.
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, Old: oldV, New: newV, What: "nan"})
-			default:
-				if oldV == 0 && newV == 0 {
-					continue
-				}
-				rel := math.Abs(newV-oldV) / math.Max(math.Abs(oldV), 1e-300)
-				if rel > tol {
-					diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-						Metric: name, Old: oldV, New: newV,
-						Rel: (newV - oldV) / math.Max(math.Abs(oldV), 1e-300), What: "drift"})
-				}
-			}
-		}
-	}
+	})
 	return diffs
+}
+
+// obsVals flattens a snapshot into the named values CompareObs gates:
+// counters, histogram counts (as NAME_count), and gauges at a constant 0,
+// so a gauge takes part in the name comparison but never drifts.
+func obsVals(s *obs.Snapshot) map[string]float64 {
+	m := make(map[string]float64, len(s.Counters)+len(s.Histograms)+len(s.Gauges))
+	for name := range s.Gauges {
+		m[name] = 0
+	}
+	for name, v := range s.Counters {
+		m[name] = v
+	}
+	for name, h := range s.Histograms {
+		m[name+"_count"] = float64(h.Count)
+	}
+	return m
 }
 
 // attrVals flattens an attribution report into named scalar terms for
@@ -569,62 +612,38 @@ func attrVals(a *obs.AttrSnapshot) map[string]float64 {
 // noise (1e-18 -> 3e-18 is a 200% move); they are NaN-gated but excluded
 // from drift comparison.
 func isAttrResidual(name string) bool {
-	return len(name) >= len("_residual") && name[len(name)-len("_residual"):] == "_residual"
+	return strings.HasSuffix(name, "_residual")
 }
 
-// compareCellAttr diffs two cells' attribution reports term by term, under
-// the same tolerance and NaN-gate discipline as the counter comparison.
-// Cells without attribution on either side are skipped (campaign ran
-// without -attr); attribution on exactly one side is reported.
-func compareCellAttr(ca, cb *Cell, tol float64) []ObsDiff {
-	if ca.Attr == nil && cb.Attr == nil {
-		return nil
-	}
-	if ca.Attr == nil || cb.Attr == nil {
-		return []ObsDiff{{Bench: ca.Bench, Kind: ca.Kind, What: "no-attr"}}
-	}
-	oldVals := attrVals(ca.Attr)
-	newVals := attrVals(cb.Attr)
-	names := make([]string, 0, len(oldVals)+len(newVals))
-	for name := range oldVals {
-		names = append(names, name)
-	}
-	for name := range newVals {
-		if _, ok := oldVals[name]; !ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var diffs []ObsDiff
-	for _, name := range names {
-		oldV, inOld := oldVals[name]
-		newV, inNew := newVals[name]
-		switch {
-		case !inNew:
-			diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-				Metric: name, Old: oldV, What: "missing"})
-		case !inOld:
-			diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-				Metric: name, New: newV, What: "new"})
-		case math.IsNaN(oldV) || math.IsNaN(newV):
-			// An attribution term gone NaN means the decomposition itself
-			// broke (a 0/0 in solo-time or a poisoned elapsed); it must
-			// never pass because NaN compares false against tolerance.
-			diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-				Metric: name, Old: oldV, New: newV, What: "nan"})
-		case isAttrResidual(name):
-			continue
-		default:
-			if oldV == 0 && newV == 0 {
-				continue
-			}
-			rel := math.Abs(newV-oldV) / math.Max(math.Abs(oldV), 1e-300)
-			if rel > tol {
-				diffs = append(diffs, ObsDiff{Bench: ca.Bench, Kind: ca.Kind,
-					Metric: name, Old: oldV, New: newV,
-					Rel: (newV - oldV) / math.Max(math.Abs(oldV), 1e-300), What: "drift"})
+// WritePerfetto writes one cell's rep-0 task trace, with the cell's
+// rep-0 ILAN decisions as scheduler instants, as Chrome trace-event JSON
+// (chrometrace.Write). cell names the cell as in View.Name; an empty cell
+// picks the first traced ILAN cell in walk order — phase transitions and
+// yellow/green stealing are what the export is for — or else the first
+// traced cell. Only that cell's trace is decoded. A co-run trace's
+// per-program tags group each co-runner under its own process track.
+func (f *File) WritePerfetto(w io.Writer, cell string) error {
+	pick := f.View(cell)
+	if cell == "" {
+		ilan := harness.KindILAN.String()
+		views := f.Views()
+		for i := range views {
+			v := &views[i]
+			if len(v.Trace) > 0 && (pick == nil || pick.Kind != ilan && v.Kind == ilan) {
+				pick = v
 			}
 		}
 	}
-	return diffs
+	if pick == nil || len(pick.Trace) == 0 {
+		where := "any cell"
+		if cell != "" {
+			where = "cell " + cell
+		}
+		return fmt.Errorf("results: no task trace in %s (rerun the campaign with ilanexp -perfetto, or any tracing config)", where)
+	}
+	trace, err := pick.Trace.Unpack()
+	if err != nil {
+		return fmt.Errorf("results: cell %s: %w", pick.Name, err)
+	}
+	return chrometrace.Write(w, trace, pick.Obs.Rep0Decisions(), chrometrace.Options{})
 }
